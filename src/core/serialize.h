@@ -16,8 +16,9 @@
 //     what participates in a key:
 //
 //       - the serialization format version (serialization_version below:
-//         bump it whenever any encoding changes and every old entry is
-//         invalidated wholesale),
+//         bump it whenever any encoding changes, or whenever a change
+//         moves result doubles — e.g. a new MNA summation order — and
+//         every old entry is invalidated wholesale),
 //       - the configuration fingerprint: every field of the technology
 //         and of Study_options that influences a result (geometry,
 //         materials, variability assumptions, timings, netlist structure,
@@ -57,7 +58,7 @@ namespace mpsram::core {
 /// Version of every encoding in this header.  Participates in each cache
 /// key and in the cache directory layout, so bumping it orphans all
 /// previously stored entries at once (they are never misread).
-inline constexpr std::uint64_t serialization_version = 1;
+inline constexpr std::uint64_t serialization_version = 2;
 
 // --- transport round-trips ---------------------------------------------------
 

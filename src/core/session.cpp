@@ -78,7 +78,7 @@ sram::Bitline_electrical Study_session::nominal_wires(int word_lines) const
     cfg.word_lines = word_lines;
     // Nominal geometry needs no patterning engine: use EUV decomposition
     // (single mask) with a zero sample == drawn layout.  Computed outside
-    // the lock (value-racy-but-deterministic, like the nominal memos).
+    // the lock (value-racy-but-deterministic).
     const geom::Wire_array nominal =
         decomposed_array(tech::Patterning_option::euv, word_lines);
     const sram::Bitline_electrical wires =
@@ -137,7 +137,50 @@ spice::Solver_policy Study_session::disturb_solver(const Query& q) const
                                                   : opts_.disturb.solver);
 }
 
-// --- worst-case memo ---------------------------------------------------------
+// --- memos -------------------------------------------------------------------
+
+namespace {
+
+/// The promise-backed single-flight shape of every session memo.  The
+/// first caller of a key publishes a shared future and runs `compute`
+/// outside the lock; concurrent callers of the key wait on the future
+/// instead of recomputing.  A failed compute un-publishes its slot, so a
+/// later call can retry, and propagates to every waiter (and to this
+/// caller via get()).
+template <typename Key, typename Value, typename Compute>
+Value single_flight(std::mutex& mutex,
+                    std::map<Key, std::shared_future<Value>>& memo,
+                    const Key& key, Compute&& compute)
+{
+    std::promise<Value> promise;
+    std::shared_future<Value> entry;
+    bool owner = false;
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        const auto it = memo.find(key);
+        if (it != memo.end()) {
+            entry = it->second;
+        } else {
+            entry = promise.get_future().share();
+            memo.emplace(key, entry);
+            owner = true;
+        }
+    }
+    if (owner) {
+        try {
+            promise.set_value(compute());
+        } catch (...) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex);
+                memo.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+        }
+    }
+    return entry.get();
+}
+
+} // namespace
 
 mc::Worst_case_result Study_session::worst_case_full(
     tech::Patterning_option option, int word_lines, double ol_3sigma,
@@ -153,63 +196,29 @@ Study_session::worst_case_cached(tech::Patterning_option option,
 {
     // Every "use the technology default" request shares one memo slot.
     const Wc_key key{option, word_lines, ol_3sigma < 0.0 ? -1.0 : ol_3sigma};
-
-    std::promise<std::shared_ptr<const mc::Worst_case_result>> promise;
-    Wc_entry entry;
-    bool owner = false;
-    {
-        const std::lock_guard<std::mutex> lock(wc_cache_mutex_);
-        const auto it = wc_cache_.find(key);
-        if (it != wc_cache_.end()) {
-            entry = it->second;
-        } else {
-            entry = promise.get_future().share();
-            wc_cache_.emplace(key, entry);
-            owner = true;
-        }
-    }
-
-    if (owner) {
-        // The enumeration runs outside the lock; concurrent callers of the
-        // same key block on the shared future instead of duplicating it.
-        try {
-            const std::uint64_t disk_key =
-                corner_key(fingerprint_, option, word_lines, ol_3sigma);
-            std::optional<util::Json> stored =
-                cache_ ? cache_->load("corner", disk_key) : std::nullopt;
-            if (stored) {
+    using Result = std::shared_ptr<const mc::Worst_case_result>;
+    return single_flight(wc_cache_mutex_, wc_cache_, key, [&]() -> Result {
+        const std::uint64_t disk_key =
+            corner_key(fingerprint_, option, word_lines, ol_3sigma);
+        if (cache_) {
+            if (const auto stored = cache_->load("corner", disk_key)) {
                 // Served from disk: no enumeration, the search counter
                 // stays flat (the observable the warm-cache tests gate).
-                promise.set_value(
-                    std::make_shared<const mc::Worst_case_result>(
-                        worst_case_of_json(*stored)));
-                return entry.get();
+                return std::make_shared<const mc::Worst_case_result>(
+                    worst_case_of_json(*stored));
             }
-
-            corner_searches_.fetch_add(1, std::memory_order_relaxed);
-
-            const Case_geometry g =
-                case_geometry(option, word_lines, ol_3sigma);
-            auto result = std::make_shared<const mc::Worst_case_result>(
-                mc::find_worst_case(*g.engine, *extractor_, g.nominal,
-                                    g.victims.bl, g.victims.vss, 3,
-                                    runner));
-            if (cache_) {
-                cache_->store("corner", disk_key,
-                              json_of_worst_case(*result));
-            }
-            promise.set_value(std::move(result));
-        } catch (...) {
-            // Un-publish the failed slot so a later call can retry, then
-            // propagate to every waiter (and to this caller via get()).
-            {
-                const std::lock_guard<std::mutex> lock(wc_cache_mutex_);
-                wc_cache_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
         }
-    }
-    return entry.get();
+
+        corner_searches_.fetch_add(1, std::memory_order_relaxed);
+        const Case_geometry g = case_geometry(option, word_lines, ol_3sigma);
+        auto result = std::make_shared<const mc::Worst_case_result>(
+            mc::find_worst_case(*g.engine, *extractor_, g.nominal,
+                                g.victims.bl, g.victims.vss, 3, runner));
+        if (cache_) {
+            cache_->store("corner", disk_key, json_of_worst_case(*result));
+        }
+        return result;
+    });
 }
 
 // --- surrogate calibration ---------------------------------------------------
@@ -247,63 +256,35 @@ Study_session::calibrated_surfaces(Metric metric,
     const Surface_key key{metric, option, word_lines,
                           ol_3sigma < 0.0 ? -1.0 : ol_3sigma, acc, pol};
 
-    std::promise<std::shared_ptr<const analytic::Yield_surfaces>> promise;
-    Surface_entry entry;
-    bool owner = false;
-    {
-        const std::lock_guard<std::mutex> lock(surface_cache_mutex_);
-        const auto it = surface_cache_.find(key);
-        if (it != surface_cache_.end()) {
-            entry = it->second;
-        } else {
-            entry = promise.get_future().share();
-            surface_cache_.emplace(key, entry);
-            owner = true;
-        }
-    }
-
-    if (owner) {
-        // The design evaluations and fit run outside the lock; concurrent
-        // queries of the same key wait on the shared future, so each
-        // surface is fitted exactly once per session.
-        try {
+    // The design evaluations and fit run once per key (single_flight); a
+    // gate miss or a failed design transient un-publishes the slot, so a
+    // later call — e.g. after loosening the budget on another session —
+    // can retry.
+    using Result = std::shared_ptr<const analytic::Yield_surfaces>;
+    return single_flight(
+        surface_cache_mutex_, surface_cache_, key, [&]() -> Result {
             const std::uint64_t disk_key =
                 surface_key(fingerprint_, metric, option, word_lines,
                             ol_3sigma, acc, pol);
-            std::optional<util::Json> stored =
-                cache_ ? cache_->load("surface", disk_key) : std::nullopt;
-            if (stored) {
-                // Served from disk: no design evaluations, no fit — the
-                // fit counter stays flat (restored surfaces evaluate
-                // bitwise identically, Response_surface::restore).
-                promise.set_value(
-                    std::make_shared<const analytic::Yield_surfaces>(
-                        surfaces_of_json(*stored)));
-                return entry.get();
+            if (cache_) {
+                if (const auto stored = cache_->load("surface", disk_key)) {
+                    // Served from disk: no design evaluations, no fit —
+                    // the fit counter stays flat (restored surfaces
+                    // evaluate bitwise identically,
+                    // Response_surface::restore).
+                    return std::make_shared<const analytic::Yield_surfaces>(
+                        surfaces_of_json(*stored));
+                }
             }
 
             surface_fits_.fetch_add(1, std::memory_order_relaxed);
-            std::shared_ptr<const analytic::Yield_surfaces> fitted =
-                calibrate_surfaces(metric, option, word_lines, ol_3sigma,
-                                   acc, pol, runner);
+            Result fitted = calibrate_surfaces(metric, option, word_lines,
+                                               ol_3sigma, acc, pol, runner);
             if (cache_) {
-                cache_->store("surface", disk_key,
-                              json_of_surfaces(*fitted));
+                cache_->store("surface", disk_key, json_of_surfaces(*fitted));
             }
-            promise.set_value(std::move(fitted));
-        } catch (...) {
-            // Un-publish the failed slot (a gate miss or a failed design
-            // transient) so a later call — e.g. after loosening the
-            // budget on another session — can retry; propagate to every
-            // waiter.
-            {
-                const std::lock_guard<std::mutex> lock(surface_cache_mutex_);
-                surface_cache_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return entry.get();
+            return fitted;
+        });
 }
 
 std::shared_ptr<const analytic::Yield_surfaces>
@@ -553,49 +534,45 @@ double Study_session::simulate_disturb_on(
     return r.v_bump;
 }
 
+double Study_session::nominal_spice(
+    std::string_view kind, int word_lines, sram::Sim_accuracy accuracy,
+    spice::Solver_policy solver,
+    const std::function<double(const sram::Bitline_electrical&)>& simulate)
+    const
+{
+    const Nominal_key key{kind, word_lines, accuracy, solver};
+    return single_flight(nominal_cache_mutex_, nominal_cache_, key, [&] {
+        // Memory miss: consult the disk cache before paying for a
+        // transient.
+        const std::uint64_t disk_key =
+            nominal_key(fingerprint_, kind, word_lines, accuracy, solver);
+        if (cache_) {
+            if (const auto stored = cache_->load(kind, disk_key)) {
+                return util::double_of_json(stored->at("value"));
+            }
+        }
+        nominal_simulations_.fetch_add(1, std::memory_order_relaxed);
+        const double value = simulate(nominal_wires(word_lines));
+        if (cache_) {
+            util::Json payload;
+            payload.set("value", util::json_of_double(value));
+            cache_->store(kind, disk_key, payload);
+        }
+        return value;
+    });
+}
+
 double Study_session::nominal_td_spice(int word_lines,
                                        sram::Sim_accuracy accuracy,
                                        spice::Solver_policy solver,
                                        sram::Read_sim_context* sim) const
 {
-    const Nominal_key key{word_lines, accuracy, solver};
-    {
-        const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-        const auto it = td_nominal_cache_.find(key);
-        if (it != td_nominal_cache_.end()) return it->second;
-    }
-
-    // Memory miss: consult the disk cache before paying for a transient.
-    const std::uint64_t disk_key = nominal_key(fingerprint_, "nominal_td",
-                                               word_lines, accuracy, solver);
-    if (cache_) {
-        if (const auto stored = cache_->load("nominal_td", disk_key)) {
-            const double td = util::double_of_json(stored->at("value"));
-            const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-            td_nominal_cache_.emplace(key, td);
-            return td;
-        }
-    }
-
-    const sram::Bitline_electrical wires = nominal_wires(word_lines);
-    // The simulation runs outside the lock: two threads racing on the same
-    // key redundantly compute the same deterministic value, which beats
-    // serializing every caller behind a SPICE transient.
-    double td = 0.0;
-    if (sim) {
-        td = simulate_td_on(wires, word_lines, accuracy, solver, *sim);
-    } else {
-        sram::Read_sim_context local;
-        td = simulate_td_on(wires, word_lines, accuracy, solver, local);
-    }
-    if (cache_) {
-        util::Json payload;
-        payload.set("value", util::json_of_double(td));
-        cache_->store("nominal_td", disk_key, payload);
-    }
-    const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-    td_nominal_cache_.emplace(key, td);
-    return td;
+    return nominal_spice(
+        "nominal_td", word_lines, accuracy, solver, [&](const auto& wires) {
+            sram::Read_sim_context local;
+            return simulate_td_on(wires, word_lines, accuracy, solver,
+                                  sim ? *sim : local);
+        });
 }
 
 double Study_session::nominal_tw_spice(int word_lines,
@@ -603,83 +580,25 @@ double Study_session::nominal_tw_spice(int word_lines,
                                        spice::Solver_policy solver,
                                        sram::Write_sim_context* sim) const
 {
-    const Nominal_key key{word_lines, accuracy, solver};
-    {
-        const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-        const auto it = tw_nominal_cache_.find(key);
-        if (it != tw_nominal_cache_.end()) return it->second;
-    }
-
-    const std::uint64_t disk_key = nominal_key(fingerprint_, "nominal_tw",
-                                               word_lines, accuracy, solver);
-    if (cache_) {
-        if (const auto stored = cache_->load("nominal_tw", disk_key)) {
-            const double tw = util::double_of_json(stored->at("value"));
-            const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-            tw_nominal_cache_.emplace(key, tw);
-            return tw;
-        }
-    }
-
-    const sram::Bitline_electrical wires = nominal_wires(word_lines);
-    // Value-racy-but-deterministic, like the td memo.
-    double tw = 0.0;
-    if (sim) {
-        tw = simulate_tw_on(wires, word_lines, accuracy, solver, *sim);
-    } else {
-        sram::Write_sim_context local;
-        tw = simulate_tw_on(wires, word_lines, accuracy, solver, local);
-    }
-    if (cache_) {
-        util::Json payload;
-        payload.set("value", util::json_of_double(tw));
-        cache_->store("nominal_tw", disk_key, payload);
-    }
-    const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-    tw_nominal_cache_.emplace(key, tw);
-    return tw;
+    return nominal_spice(
+        "nominal_tw", word_lines, accuracy, solver, [&](const auto& wires) {
+            sram::Write_sim_context local;
+            return simulate_tw_on(wires, word_lines, accuracy, solver,
+                                  sim ? *sim : local);
+        });
 }
 
 double Study_session::nominal_disturb_spice(
     int word_lines, sram::Sim_accuracy accuracy,
     spice::Solver_policy solver, sram::Disturb_sim_context* sim) const
 {
-    const Nominal_key key{word_lines, accuracy, solver};
-    {
-        const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-        const auto it = disturb_nominal_cache_.find(key);
-        if (it != disturb_nominal_cache_.end()) return it->second;
-    }
-
-    const std::uint64_t disk_key = nominal_key(
-        fingerprint_, "nominal_disturb", word_lines, accuracy, solver);
-    if (cache_) {
-        if (const auto stored = cache_->load("nominal_disturb", disk_key)) {
-            const double bump = util::double_of_json(stored->at("value"));
-            const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-            disturb_nominal_cache_.emplace(key, bump);
-            return bump;
-        }
-    }
-
-    const sram::Bitline_electrical wires = nominal_wires(word_lines);
-    double bump = 0.0;
-    if (sim) {
-        bump = simulate_disturb_on(wires, word_lines, accuracy, solver,
-                                   *sim);
-    } else {
-        sram::Disturb_sim_context local;
-        bump = simulate_disturb_on(wires, word_lines, accuracy, solver,
-                                   local);
-    }
-    if (cache_) {
-        util::Json payload;
-        payload.set("value", util::json_of_double(bump));
-        cache_->store("nominal_disturb", disk_key, payload);
-    }
-    const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-    disturb_nominal_cache_.emplace(key, bump);
-    return bump;
+    return nominal_spice(
+        "nominal_disturb", word_lines, accuracy, solver,
+        [&](const auto& wires) {
+            sram::Disturb_sim_context local;
+            return simulate_disturb_on(wires, word_lines, accuracy, solver,
+                                       sim ? *sim : local);
+        });
 }
 
 analytic::Td_params Study_session::formula_params(int word_lines) const

@@ -26,10 +26,12 @@
 #define MPSRAM_CORE_SESSION_H
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <tuple>
 
 #include "analytic/params.h"
@@ -148,6 +150,15 @@ public:
         return corner_searches_.load(std::memory_order_relaxed);
     }
 
+    /// Nominal SPICE transients (td, tw and disturb bump) actually run —
+    /// not memo or disk-cache hits — since construction.  The nominal
+    /// memos are single-flight like the worst-case memo: each key
+    /// simulates exactly once, concurrent callers included.
+    std::size_t nominal_simulation_count() const
+    {
+        return nominal_simulations_.load(std::memory_order_relaxed);
+    }
+
     /// Calibrated surrogate surfaces of a distribution metric (`mc_tdp`
     /// or `mc_twp`) at a study point: a small SPICE design set evaluated
     /// on `runner` (one job per design point — bitwise identical at any
@@ -260,6 +271,14 @@ private:
     spice::Solver_policy write_solver(const Query& q) const;
     spice::Solver_policy disturb_solver(const Query& q) const;
 
+    /// The nominal memo entry of a metric (`kind` is its disk-cache kind,
+    /// e.g. "nominal_td"): memo, then disk cache, then `simulate` on the
+    /// nominal wires — exactly once per key (promise-backed).
+    double nominal_spice(
+        std::string_view kind, int word_lines, sram::Sim_accuracy accuracy,
+        spice::Solver_policy solver,
+        const std::function<double(const sram::Bitline_electrical&)>&
+            simulate) const;
     double nominal_td_spice(int word_lines, sram::Sim_accuracy accuracy,
                             spice::Solver_policy solver,
                             sram::Read_sim_context* sim = nullptr) const;
@@ -311,22 +330,23 @@ private:
     std::shared_ptr<Result_cache> cache_;
     std::uint64_t fingerprint_ = 0;
 
-    // The nominal-metric memos (one per metric: td / tw / disturb bump),
-    // keyed on (word_lines, accuracy, resolved solver policy) so queries
-    // overriding either execution policy on one session never cross
-    // results between engines or solver tiers.  Batch evaluators hit them
-    // from pool workers, so all access goes through nominal_cache_mutex_;
-    // the values are racy-but-deterministic (redundant computes beat
-    // serializing behind a transient).
-    using Nominal_key =
-        std::tuple<int, sram::Sim_accuracy, spice::Solver_policy>;
+    // The nominal-metric memo, keyed on (kind, word_lines, accuracy,
+    // resolved solver policy) so queries overriding either execution
+    // policy on one session never cross results between engines or
+    // solver tiers.  Same promise-backed shape as the worst-case memo:
+    // batch evaluators hit it from pool workers, the first caller of a
+    // key simulates outside the lock, and concurrent callers wait on the
+    // shared future instead of re-simulating.
+    using Nominal_key = std::tuple<std::string_view, int, sram::Sim_accuracy,
+                                   spice::Solver_policy>;
     mutable std::mutex nominal_cache_mutex_;
-    mutable std::map<Nominal_key, double> td_nominal_cache_;
-    mutable std::map<Nominal_key, double> tw_nominal_cache_;
-    mutable std::map<Nominal_key, double> disturb_nominal_cache_;
+    mutable std::map<Nominal_key, std::shared_future<double>> nominal_cache_;
+    mutable std::atomic<std::size_t> nominal_simulations_{0};
     /// Nominal extraction memo: build_metal1_array + decomposition +
     /// roll-up per word-line count, shared by the formula parameters and
     /// every nominal transient (engine-independent, so keyed on n only).
+    /// Also guarded by nominal_cache_mutex_; value-racy: the extraction
+    /// is cheap and deterministic, so racing callers may both compute it.
     mutable std::map<int, sram::Bitline_electrical> nominal_wires_cache_;
 
     // Worst-case memo: option/word_lines/ol_3sigma (negative budgets

@@ -16,15 +16,16 @@
 //        refreshed on operating-point drift (`bypass_vtol`), dt-band
 //        exit (`bypass_dt_band`), stall (`bypass_stall_iters`), step
 //        rejection, or any forcing stamps — plus device-level bypass
-//        (`device_bypass_vtol`): quiet MOSFETs replay cached stamp
-//        entries instead of re-running the compact model, which is
-//        where the wall time actually goes (assembly dominates each
-//        iteration; the banded LU is linear in n).  Acceptance requires
-//        a final sub-tolerance step against a fresh factorization, so
-//        the accepted point passes the direct tier's own criterion;
-//        the residual model error is bounded by g * device_bypass_vtol
-//        per quiet device and gated at 0.5% end to end.  This is the
-//        production default under the fast accuracy tier.
+//        (`device_bypass_vtol`): quiet MOSFETs reuse their last
+//        linearization instead of re-running the compact model, which
+//        halves a 1024-row read (the compiled stamp program of
+//        system.h makes the rest of assembly a copy).  Acceptance
+//        requires a final sub-tolerance step against a fresh
+//        factorization, so the accepted point passes the direct tier's
+//        own criterion; the residual model error is bounded by
+//        g * device_bypass_vtol per quiet MOSFET and gated at 0.5% end
+//        to end.  This is the production default under the fast
+//        accuracy tier.
 //      - `iterative`: the same reuse discipline caching an ILU(0)
 //        preconditioner for BiCGSTAB instead of an exact LU.  The
 //        big-array tier (4k-8k rows): factor cost grows superlinearly

@@ -1,10 +1,13 @@
 // Device-model interface of the MNA engine.
 //
-// Devices are stamped once per Newton iteration.  The engine hands each
-// device a Stamper (matrix/RHS access with ground- and driven-node handling
-// folded in) and an Eval_context (current iterate, time step, integration
-// method).  Dynamic devices keep their own history state and are told when
-// a step is accepted.
+// The library devices (resistors, capacitors, independent sources and
+// MOSFETs) are parameter holders: Mna_system compiles them into its stamp
+// program once per pattern (spice/system.h) and owns every per-solve and
+// per-iteration value, capacitor history included.  Any other Device
+// subclass is an extension device: the engine stamps it on every Newton
+// iteration through a Stamper (matrix/RHS access with ground- and
+// driven-node handling folded in) and an Eval_context (current iterate,
+// time step, integration method).
 #ifndef MPSRAM_SPICE_DEVICE_H
 #define MPSRAM_SPICE_DEVICE_H
 
@@ -74,23 +77,15 @@ public:
     const std::string& name() const { return name_; }
     const std::vector<Node>& nodes() const { return nodes_; }
 
-    virtual bool is_nonlinear() const { return false; }
-
-    /// True when stamp() depends only on the terminal voltages — no
-    /// time, dt, waveform, or history state.  The reuse solver may then
-    /// replay a cached stamp across steps while every terminal stays
-    /// within its bypass tolerance (parameter edits between runs are
-    /// covered by the per-run reuse reset).  Devices that keep the
-    /// default are replayed within a single Newton solve only, where t,
-    /// dt, and history are fixed.
-    virtual bool stamp_voltage_only() const { return false; }
-
-    /// Contribute linearized equations at the current iterate.
-    virtual void stamp(Stamper& s, const Eval_context& ctx) const = 0;
-
-    /// Called once after a DC solution or an accepted transient step so
-    /// dynamic devices can update their history state.
-    virtual void accept_step(const Eval_context& ctx) { (void)ctx; }
+    /// Extension devices: contribute linearized equations at the current
+    /// iterate, on every Newton iteration.  Each call must touch the same
+    /// (eq, wrt) positions (the sparsity pattern is recorded once).  The
+    /// library devices are compiled by Mna_system and keep this no-op.
+    virtual void stamp(Stamper& s, const Eval_context& ctx) const
+    {
+        (void)s;
+        (void)ctx;
+    }
 
     /// Report waveform corner times in (0, tstop) for breakpoint handling.
     virtual void add_breakpoints(double tstop,

@@ -18,11 +18,6 @@ void Resistor::set_resistance(double ohms)
     ohms_ = ohms;
 }
 
-void Resistor::stamp(Stamper& s, const Eval_context&) const
-{
-    s.conductance(nodes()[0], nodes()[1], 1.0 / ohms_);
-}
-
 // --- Capacitor --------------------------------------------------------------
 
 Capacitor::Capacitor(std::string name, Node a, Node b, double farads)
@@ -35,57 +30,6 @@ void Capacitor::set_capacitance(double farads)
 {
     util::expects(farads > 0.0, "capacitance must be positive");
     farads_ = farads;
-    v_prev_ = 0.0;
-    i_prev_ = 0.0;
-}
-
-double Capacitor::companion_g(const Eval_context& ctx) const
-{
-    util::expects(ctx.dt > 0.0, "companion model needs a positive step");
-    switch (ctx.method) {
-    case Integration_method::backward_euler:
-        return farads_ / ctx.dt;
-    case Integration_method::trapezoidal:
-        return 2.0 * farads_ / ctx.dt;
-    }
-    throw util::Invariant_error("unknown integration method");
-}
-
-double Capacitor::history_current(const Eval_context& ctx) const
-{
-    // Branch current a->b at the new point:
-    //   i_new = geq * v_new - hist
-    // BE:   hist = geq * v_prev
-    // TRAP: hist = geq * v_prev + i_prev
-    const double geq = companion_g(ctx);
-    double hist = geq * v_prev_;
-    if (ctx.method == Integration_method::trapezoidal) hist += i_prev_;
-    return hist;
-}
-
-void Capacitor::stamp(Stamper& s, const Eval_context& ctx) const
-{
-    if (ctx.mode == Analysis_mode::dc) return;  // open in DC
-    const double geq = companion_g(ctx);
-    const double hist = history_current(ctx);
-    s.conductance(nodes()[0], nodes()[1], geq);
-    // i = geq*v - hist flows a->b; the "hist" part is an equivalent source
-    // pushing current into a (and out of b).
-    s.current_into(nodes()[0], hist);
-    s.current_into(nodes()[1], -hist);
-}
-
-void Capacitor::accept_step(const Eval_context& ctx)
-{
-    const double v_now = ctx.v(nodes()[0]) - ctx.v(nodes()[1]);
-    if (ctx.mode == Analysis_mode::dc) {
-        v_prev_ = v_now;
-        i_prev_ = 0.0;
-        return;
-    }
-    const double hist = history_current(ctx);
-    i_prev_ = companion_g(ctx) * v_now - hist;
-    v_prev_ = v_now;
 }
 
 // --- Current_source ----------------------------------------------------------
@@ -94,13 +38,6 @@ Current_source::Current_source(std::string name, Node from, Node to,
                                Waveform w)
     : Device(std::move(name), {from, to}), wave_(std::move(w))
 {
-}
-
-void Current_source::stamp(Stamper& s, const Eval_context& ctx) const
-{
-    const double i = wave_.value(ctx.time);
-    s.current_into(nodes()[1], i);
-    s.current_into(nodes()[0], -i);
 }
 
 void Current_source::add_breakpoints(double tstop,
@@ -116,11 +53,6 @@ Voltage_source::Voltage_source(std::string name, Node pos, Node neg,
     : Device(std::move(name), {pos, neg}), wave_(std::move(w))
 {
     util::expects(pos != neg, "voltage source terminals must differ");
-}
-
-void Voltage_source::stamp(Stamper&, const Eval_context&) const
-{
-    // Handled structurally by the MNA system (driven node or branch row).
 }
 
 void Voltage_source::add_breakpoints(double tstop,

@@ -1,4 +1,9 @@
 // Linear circuit elements: resistor, capacitor, independent sources.
+//
+// These are parameter holders.  Mna_system compiles them into its stamp
+// program (spice/system.h): resistor and capacitor values into the
+// conductance and capacitance arrays, capacitor history into its own
+// arrays, and sources into the per-solve right-hand side.
 #ifndef MPSRAM_SPICE_LINEAR_DEVICES_H
 #define MPSRAM_SPICE_LINEAR_DEVICES_H
 
@@ -14,38 +19,29 @@ public:
     double resistance() const { return ohms_; }
 
     /// Re-point the element at a new value (sweep reuse).  Values do not
-    /// affect the MNA sparsity pattern, so a compiled system stays valid.
+    /// affect the MNA sparsity pattern, so a compiled system stays valid;
+    /// the edit takes effect at the next analysis run
+    /// (Mna_system::reset_reuse_state reloads the compiled values).
     void set_resistance(double ohms);
-
-    bool stamp_voltage_only() const override { return true; }
-    void stamp(Stamper& s, const Eval_context& ctx) const override;
 
 private:
     double ohms_;
 };
 
-/// Capacitor with trapezoidal / backward-Euler companion models.  Holds
-/// its own history (voltage and current at the last accepted time point).
+/// Capacitor, integrated with trapezoidal / backward-Euler companion
+/// models by the MNA system, which also keeps its history.
 class Capacitor final : public Device {
 public:
     Capacitor(std::string name, Node a, Node b, double farads);
 
     double capacitance() const { return farads_; }
 
-    /// Re-point the element at a new value (sweep reuse).  Clears the
-    /// companion-model history; the next DC operating point re-latches it.
+    /// Re-point the element at a new value (sweep reuse); takes effect at
+    /// the next analysis run, like Resistor::set_resistance.
     void set_capacitance(double farads);
 
-    void stamp(Stamper& s, const Eval_context& ctx) const override;
-    void accept_step(const Eval_context& ctx) override;
-
 private:
-    double companion_g(const Eval_context& ctx) const;
-    double history_current(const Eval_context& ctx) const;
-
     double farads_;
-    double v_prev_ = 0.0;  ///< branch voltage v(a) - v(b) at last accepted point
-    double i_prev_ = 0.0;  ///< branch current a->b at last accepted point
 };
 
 /// Independent current source: `value(t)` amps flow from `from` to `to`
@@ -54,7 +50,9 @@ class Current_source final : public Device {
 public:
     Current_source(std::string name, Node from, Node to, Waveform w);
 
-    void stamp(Stamper& s, const Eval_context& ctx) const override;
+    Node from() const { return nodes()[0]; }
+    Node to() const { return nodes()[1]; }
+
     void add_breakpoints(double tstop, std::vector<double>& out) const override;
 
     double value(double t) const { return wave_.value(t); }
@@ -68,7 +66,7 @@ private:
 ///
 /// The MNA system special-cases these: a source whose `neg` is ground
 /// turns `pos` into a driven node (no extra unknown); a floating source
-/// gets a branch-current unknown.  stamp() is therefore a no-op.
+/// gets a branch-current unknown.
 class Voltage_source final : public Device {
 public:
     Voltage_source(std::string name, Node pos, Node neg, Waveform w);
@@ -77,7 +75,6 @@ public:
     Node neg() const { return nodes()[1]; }
     bool grounded() const { return neg() == ground_node; }
 
-    void stamp(Stamper& s, const Eval_context& ctx) const override;
     void add_breakpoints(double tstop, std::vector<double>& out) const override;
 
     double value(double t) const { return wave_.value(t); }

@@ -9,6 +9,8 @@ namespace mpsram::spice {
 
 /// Three-terminal MOSFET (drain, gate, source); the bulk is implicitly
 /// tied to the rail appropriate for the type (model is bulk-referenced).
+/// Mna_system evaluates the model on every Newton iteration through its
+/// compiled slot indices (spice/system.h).
 class Mosfet final : public Device {
 public:
     Mosfet(std::string name, Node drain, Node gate, Node source,
@@ -19,17 +21,6 @@ public:
     Node source() const { return nodes()[2]; }
     const Mosfet_params& params() const { return params_; }
     double multiplicity() const { return m_; }
-
-    bool is_nonlinear() const override { return true; }
-    /// The EKV stamp reads only the drain/gate/source voltages, so the
-    /// reuse solver may replay it across steps while the terminals are
-    /// quiet.
-    bool stamp_voltage_only() const override { return true; }
-
-    void stamp(Stamper& s, const Eval_context& ctx) const override;
-
-    /// Drain current at the given context's voltages (diagnostics).
-    double current(const Eval_context& ctx) const;
 
 private:
     Mosfet_params params_;

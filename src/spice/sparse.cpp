@@ -48,6 +48,12 @@ void Sparse_matrix::clear_values()
     std::fill(values_.begin(), values_.end(), 0.0);
 }
 
+void Sparse_matrix::assign_values(const std::vector<double>& v)
+{
+    util::expects(v.size() == values_.size(), "value count mismatch");
+    std::copy(v.begin(), v.end(), values_.begin());
+}
+
 int Sparse_matrix::slot(int row, int col) const
 {
     const auto lo = cols_.begin() + row_ptr_[static_cast<std::size_t>(row)];

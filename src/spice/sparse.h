@@ -18,6 +18,7 @@
 #define MPSRAM_SPICE_SPARSE_H
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace mpsram::spice {
@@ -36,6 +37,12 @@ public:
 
     /// Zero all stored values (pattern kept).
     void clear_values();
+
+    /// Overwrite all stored values; `v` is slot-aligned (size nonzeros()).
+    void assign_values(const std::vector<double>& v);
+
+    /// Slot-aligned value access for compiled assembly loops.
+    std::span<double> mutable_values() { return values_; }
 
     /// values[slot(row,col)] += v.  (row, col) must be in the pattern.
     void add(int row, int col, double v);

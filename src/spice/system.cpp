@@ -9,7 +9,7 @@
 
 namespace mpsram::spice {
 
-// --- stampers ----------------------------------------------------------------
+// --- extension-device stampers -----------------------------------------------
 
 /// Pattern pass: records which (eq, wrt) matrix positions devices touch.
 class Mna_system::Pattern_stamper final : public Stamper {
@@ -83,74 +83,36 @@ private:
     const std::vector<double>* voltages_;
 };
 
-/// Numeric pass that also records the routed entries into a Device_cache,
-/// so quiet devices can later replay them without re-running the compact
-/// model.  Routing is identical to Assembly_stamper; matrix entries are
-/// recorded by slot so replay is one add per entry.
-class Mna_system::Caching_stamper final : public Stamper {
-public:
-    Caching_stamper(const std::vector<int>& solve_index,
-                    Sparse_matrix& m, std::vector<double>& rhs,
-                    const std::vector<double>& voltages)
-        : solve_index_(&solve_index),
-          matrix_(&m),
-          rhs_(&rhs),
-          voltages_(&voltages)
-    {
-    }
-
-    void begin(Device_cache& cache)
-    {
-        cache_ = &cache;
-        cache_->matrix_adds.clear();
-        cache_->rhs_adds.clear();
-    }
-
-    void jacobian(Node eq, Node wrt, double g) override
-    {
-        // Same poison guard as Assembly_stamper: a cached NaN would be
-        // replayed on every bypass hit until the envelope invalidates.
-        MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp (cached)",
-                      MPSRAM_VAL(g), MPSRAM_VAL(eq), MPSRAM_VAL(wrt));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row < 0) return;
-        const int col = (*solve_index_)[static_cast<std::size_t>(wrt)];
-        if (col >= 0) {
-            const int s = matrix_->slot(row, col);
-            matrix_->add_at_slot(s, g);
-            cache_->matrix_adds.emplace_back(s, g);
-        } else {
-            const double v =
-                -g * (*voltages_)[static_cast<std::size_t>(wrt)];
-            (*rhs_)[static_cast<std::size_t>(row)] += v;
-            cache_->rhs_adds.emplace_back(row, v);
-        }
-    }
-
-    void rhs(Node eq, double value) override
-    {
-        MPSRAM_ASSERT(std::isfinite(value), "non-finite RHS stamp (cached)",
-                      MPSRAM_VAL(value), MPSRAM_VAL(eq));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row < 0) return;
-        (*rhs_)[static_cast<std::size_t>(row)] += value;
-        cache_->rhs_adds.emplace_back(row, value);
-    }
-
-private:
-    const std::vector<int>* solve_index_;
-    Sparse_matrix* matrix_;
-    std::vector<double>* rhs_;
-    const std::vector<double>* voltages_;
-    Device_cache* cache_ = nullptr;
-};
-
 // --- Mna_system ---------------------------------------------------------------
+
+namespace {
+
+/// Companion-model scale a(dt, method): the capacitor companion
+/// conductance is a * C (0 in DC, where capacitors are open).
+double companion_scale(const Eval_context& ctx)
+{
+    if (ctx.mode == Analysis_mode::dc) return 0.0;
+    util::expects(ctx.dt > 0.0, "companion model needs a positive step");
+    switch (ctx.method) {
+    case Integration_method::backward_euler:
+        return 1.0 / ctx.dt;
+    case Integration_method::trapezoidal:
+        return 2.0 / ctx.dt;
+    }
+    throw util::Invariant_error("unknown integration method");
+}
+
+/// Sign patterns of the compiled linear stamps.
+constexpr std::array<double, 4> two_terminal_signs = {1.0, 1.0, -1.0, -1.0};
+constexpr std::array<double, 4> branch_signs = {-1.0, 1.0, 1.0, -1.0};
+
+} // namespace
 
 Mna_system::Mna_system(Circuit& circuit) : circuit_(&circuit)
 {
     classify();
     build_pattern();
+    reset_reuse_state();
 }
 
 void Mna_system::classify()
@@ -188,39 +150,75 @@ void Mna_system::classify()
     int next = static_cast<int>(unknown_nodes_.size());
     for (const Voltage_source* src : circuit_->voltage_sources()) {
         if (src->grounded()) continue;
-        branches_.push_back({src, next++});
+        branches_.push_back({src, next++, {}});
     }
 
     total_unknowns_ =
         unknown_nodes_.size() + branches_.size();
     util::ensures(total_unknowns_ > 0, "circuit has no unknowns to solve");
 
-    nonlinear_ = std::any_of(
-        circuit_->devices().begin(), circuit_->devices().end(),
-        [](const auto& d) { return d->is_nonlinear(); });
-
     branch_currents_.assign(branches_.size(), 0.0);
 }
 
 void Mna_system::build_pattern()
 {
-    std::vector<std::pair<int, int>> entries;
+    const auto index = [this](Node n) {
+        return solve_index_[static_cast<std::size_t>(n)];
+    };
 
-    // Device entries: one structural pass with zeroed voltages.
-    Pattern_stamper ps(solve_index_, entries);
+    // Pass 1: sort devices into the program's lists and collect the
+    // structural entries they touch.
+    std::vector<std::pair<int, int>> entries;
+    const auto structural = [&](Node eq, Node wrt) {
+        if (index(eq) >= 0 && index(wrt) >= 0) {
+            entries.push_back({index(eq), index(wrt)});
+        }
+    };
+    Pattern_stamper pattern(solve_index_, entries);
     std::vector<double> zeros(circuit_->node_count(), 0.0);
-    Eval_context ctx;
-    ctx.mode = Analysis_mode::transient;
-    ctx.method = Integration_method::backward_euler;
-    ctx.time = 0.0;
-    ctx.dt = 1.0;  // any positive value: pattern only
-    ctx.voltages = zeros.data();
-    for (const auto& dev : circuit_->devices()) dev->stamp(ps, ctx);
+    Eval_context pattern_ctx;
+    pattern_ctx.mode = Analysis_mode::transient;
+    pattern_ctx.dt = 1.0;  // any positive value: pattern only
+    pattern_ctx.voltages = zeros.data();
+    const auto two_terminal = [&](const Device& d) {
+        const Node a = d.nodes()[0];
+        const Node b = d.nodes()[1];
+        structural(a, a);
+        structural(b, b);
+        structural(a, b);
+        structural(b, a);
+    };
+    for (const auto& dev : circuit_->devices()) {
+        const Device* d = dev.get();
+        if (const auto* r = dynamic_cast<const Resistor*>(d)) {
+            resistors_.push_back({r, {}});
+            two_terminal(*r);
+        } else if (const auto* c = dynamic_cast<const Capacitor*>(d)) {
+            const Node a = c->nodes()[0];
+            const Node b = c->nodes()[1];
+            capacitors_.push_back({c, {}});
+            history_.push_back({a, b, index(a), index(b)});
+            two_terminal(*c);
+        } else if (const auto* i = dynamic_cast<const Current_source*>(d)) {
+            current_sources_.push_back({i, index(i->from()), index(i->to())});
+        } else if (const auto* m = dynamic_cast<const Mosfet*>(d)) {
+            const std::array<Node, 3> n = {m->drain(), m->gate(), m->source()};
+            mosfets_.push_back({m, n, index(n[0]), index(n[2]), {}});
+            for (const Node eq : {n[0], n[2]}) {
+                for (const Node wrt : n) structural(eq, wrt);
+            }
+        } else if (dynamic_cast<const Voltage_source*>(d) == nullptr) {
+            // Voltage sources were classified structurally above; anything
+            // else is an extension device.
+            extension_devices_.push_back(d);
+            d->stamp(pattern, pattern_ctx);
+        }
+    }
 
     // Branch rows/columns for floating sources.
     for (const Branch& b : branches_) {
-        const int prow = solve_index_[static_cast<std::size_t>(b.source->pos())];
-        const int nrow = solve_index_[static_cast<std::size_t>(b.source->neg())];
+        const int prow = index(b.source->pos());
+        const int nrow = index(b.source->neg());
         if (prow >= 0) {
             entries.push_back({prow, b.index});
             entries.push_back({b.index, prow});
@@ -235,6 +233,92 @@ void Mna_system::build_pattern()
     lu_ = std::make_unique<Sparse_lu>(*matrix_);
     rhs_.assign(total_unknowns_, 0.0);
     solution_.assign(total_unknowns_, 0.0);
+
+    // Pass 2: resolve every compiled entry to its slot or RHS route.
+    for (Resistor_entry& r : resistors_) {
+        r.stamp = compile_two_terminal(r.device->nodes()[0],
+                                       r.device->nodes()[1]);
+    }
+    for (Capacitor_entry& c : capacitors_) {
+        c.stamp = compile_two_terminal(c.device->nodes()[0],
+                                       c.device->nodes()[1]);
+    }
+    for (Mosfet_entry& m : mosfets_) {
+        std::size_t k = 0;
+        for (const int row : {m.row_d, m.row_s}) {
+            for (const Node wrt : m.nodes) {
+                const int col = index(wrt);
+                m.slot[k++] =
+                    row >= 0 && col >= 0 ? matrix_->slot(row, col) : -1;
+            }
+        }
+    }
+    for (Branch& b : branches_) {
+        const int prow = index(b.source->pos());
+        const int nrow = index(b.source->neg());
+        // KCL columns: branch current flows into pos, out of neg.
+        b.stamp = {prow >= 0 ? matrix_->slot(prow, b.index) : -1,
+                   compile_entry(b.index, b.source->pos()),
+                   nrow >= 0 ? matrix_->slot(nrow, b.index) : -1,
+                   compile_entry(b.index, b.source->neg())};
+    }
+    diag_slot_.resize(unknown_nodes_.size());
+    for (std::size_t u = 0; u < diag_slot_.size(); ++u) {
+        diag_slot_[u] = matrix_->slot(static_cast<int>(u),
+                                      static_cast<int>(u));
+    }
+}
+
+int Mna_system::compile_entry(int row, Node wrt)
+{
+    if (row < 0) return -1;  // ground or driven equation: dropped
+    const int col = solve_index_[static_cast<std::size_t>(wrt)];
+    if (col >= 0) return matrix_->slot(row, col);
+    if (wrt == ground_node) return -1;  // contributes 0
+    routes_.push_back({row, wrt});
+    return static_cast<int>(matrix_->nonzeros() + routes_.size()) - 1;
+}
+
+Mna_system::Lin_stamp Mna_system::compile_two_terminal(Node a, Node b)
+{
+    const int ra = solve_index_[static_cast<std::size_t>(a)];
+    const int rb = solve_index_[static_cast<std::size_t>(b)];
+    return {compile_entry(ra, a), compile_entry(rb, b), compile_entry(ra, b),
+            compile_entry(rb, a)};
+}
+
+void Mna_system::reset_reuse_state()
+{
+    // Reload the linear values: the devices may have been re-pointed at
+    // new values since the last run (the sweep-reuse contract).
+    const std::size_t values = matrix_->nonzeros() + routes_.size();
+    g_lin_.assign(values, 0.0);
+    c_lin_.assign(values, 0.0);
+    const auto add = [](std::vector<double>& lin, const Lin_stamp& stamp,
+                        const std::array<double, 4>& signs, double x) {
+        for (std::size_t k = 0; k < stamp.size(); ++k) {
+            if (stamp[k] < 0) continue;
+            lin[static_cast<std::size_t>(stamp[k])] += signs[k] * x;
+        }
+    };
+    for (const Resistor_entry& r : resistors_) {
+        add(g_lin_, r.stamp, two_terminal_signs,
+            1.0 / r.device->resistance());
+    }
+    for (std::size_t k = 0; k < capacitors_.size(); ++k) {
+        Capacitor_history& h = history_[k];
+        h.c = capacitors_[k].device->capacitance();
+        h.v_prev = 0.0;
+        h.i_prev = 0.0;
+        add(c_lin_, capacitors_[k].stamp, two_terminal_signs, h.c);
+    }
+    for (const Branch& b : branches_) {
+        add(g_lin_, b.stamp, branch_signs, 1.0);
+    }
+
+    base_valid_ = false;
+    factored_ = false;
+    for (Mosfet_entry& m : mosfets_) m.valid = false;
 }
 
 void Mna_system::apply_driven(double t, std::vector<double>& voltages) const
@@ -247,132 +331,157 @@ void Mna_system::apply_driven(double t, std::vector<double>& voltages) const
     }
 }
 
+void Mna_system::prepare_solve(const Eval_context& ctx,
+                               const std::vector<double>& voltages,
+                               const Newton_options& opts)
+{
+    const double a = companion_scale(ctx);
+    const Integration_method method =
+        ctx.mode == Analysis_mode::dc ? Integration_method::backward_euler
+                                      : ctx.method;
+    if (!base_valid_ || base_mode_ != ctx.mode || base_method_ != method ||
+        base_dt_ != ctx.dt || base_gmin_ != opts.gmin) {
+        base_values_.resize(matrix_->nonzeros());
+        for (std::size_t s = 0; s < base_values_.size(); ++s) {
+            base_values_[s] = g_lin_[s] + a * c_lin_[s];
+        }
+        for (const int s : diag_slot_) {
+            base_values_[static_cast<std::size_t>(s)] += opts.gmin;
+        }
+        base_valid_ = true;
+        base_mode_ = ctx.mode;
+        base_method_ = method;
+        base_dt_ = ctx.dt;
+        base_gmin_ = opts.gmin;
+    }
+
+    base_rhs_.assign(total_unknowns_, 0.0);
+    for (std::size_t k = 0; k < routes_.size(); ++k) {
+        const Route& r = routes_[k];
+        const std::size_t s = matrix_->nonzeros() + k;
+        base_rhs_[static_cast<std::size_t>(r.row)] -=
+            (g_lin_[s] + a * c_lin_[s]) *
+            voltages[static_cast<std::size_t>(r.node)];
+    }
+    if (ctx.mode == Analysis_mode::transient) {
+        // Companion history: i_new = a C v_new - hist flows a -> b, so
+        // `hist` is an equivalent source pushing current into a.
+        //   BE:   hist = a C v_prev          (a = 1/dt)
+        //   TRAP: hist = a C v_prev + i_prev (a = 2/dt)
+        const bool trap = ctx.method == Integration_method::trapezoidal;
+        for (const Capacitor_history& h : history_) {
+            double hist = a * h.c * h.v_prev;
+            if (trap) hist += h.i_prev;
+            if (h.row_a >= 0) {
+                base_rhs_[static_cast<std::size_t>(h.row_a)] += hist;
+            }
+            if (h.row_b >= 0) {
+                base_rhs_[static_cast<std::size_t>(h.row_b)] -= hist;
+            }
+        }
+    }
+    for (const Current_entry& i : current_sources_) {
+        const double value = i.device->value(ctx.time);
+        if (i.row_to >= 0) {
+            base_rhs_[static_cast<std::size_t>(i.row_to)] += value;
+        }
+        if (i.row_from >= 0) {
+            base_rhs_[static_cast<std::size_t>(i.row_from)] -= value;
+        }
+    }
+    for (const Branch& b : branches_) {
+        base_rhs_[static_cast<std::size_t>(b.index)] +=
+            b.source->value(ctx.time);
+    }
+}
+
 void Mna_system::assemble(const Eval_context& ctx,
                           const std::vector<double>& voltages,
-                          const Newton_options& opts,
+                          double mosfet_vtol,
                           std::span<const Forced_node> forces)
 {
-    matrix_->clear_values();
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
+    matrix_->assign_values(base_values_);
+    rhs_ = base_rhs_;
 
-    Assembly_stamper stamper(solve_index_, *matrix_, rhs_, voltages);
-    for (const auto& dev : circuit_->devices()) {
-        dev->stamp(stamper, ctx);
-    }
-
-    stamp_fixed(ctx, voltages, opts, forces);
-}
-
-/// Reuse-tier assembly.  Voltage-only devices (MOSFETs, resistors) whose
-/// terminals are all within device_bypass_vtol of their last evaluation
-/// replay cached stamps across steps; time/history devices (capacitor
-/// companions, sources) re-evaluate on the first iteration of each solve
-/// — where t, dt, and history change — and replay on the rest.  Cache
-/// replay follows device order, so the per-slot add sequence — and
-/// therefore the assembled doubles — match a fresh assembly of the same
-/// linearizations exactly.
-void Mna_system::assemble_reuse(const Eval_context& ctx,
-                                const std::vector<double>& voltages,
-                                const Newton_options& opts, bool new_step,
-                                std::span<const Forced_node> forces)
-{
-    matrix_->clear_values();
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
-
-    const double vtol = opts.device_bypass_vtol;
-    const auto& devices = circuit_->devices();
-    if (device_cache_.size() != devices.size()) {
-        device_cache_.assign(devices.size(), {});
-    }
-
-    Assembly_stamper fresh(solve_index_, *matrix_, rhs_, voltages);
-    Caching_stamper caching(solve_index_, *matrix_, rhs_, voltages);
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        const Device& dev = *devices[i];
-        if (vtol <= 0.0) {
-            dev.stamp(fresh, ctx);
-            continue;
-        }
-        Device_cache& cache = device_cache_[i];
-        bool quiet;
-        if (dev.stamp_voltage_only()) {
-            const auto& nodes = dev.nodes();
-            quiet = cache.valid && cache.v_at_eval.size() == nodes.size();
-            for (std::size_t k = 0; quiet && k < nodes.size(); ++k) {
-                const auto n = static_cast<std::size_t>(nodes[k]);
-                quiet = std::fabs(voltages[n] - cache.v_at_eval[k]) <= vtol;
-            }
-        } else {
-            // Within-solve replay assumes an iterate-independent stamp,
-            // which only holds for linear companions and sources.
-            quiet = cache.valid && !new_step && !dev.is_nonlinear();
-        }
-        if (quiet) {
-            for (const auto& [slot, g] : cache.matrix_adds) {
-                matrix_->add_at_slot(slot, g);
-            }
-            for (const auto& [row, v] : cache.rhs_adds) {
-                rhs_[static_cast<std::size_t>(row)] += v;
-            }
-            continue;
-        }
-        caching.begin(cache);
-        dev.stamp(caching, ctx);
-        if (dev.stamp_voltage_only()) {
-            const auto& nodes = dev.nodes();
-            cache.v_at_eval.resize(nodes.size());
-            for (std::size_t k = 0; k < nodes.size(); ++k) {
-                cache.v_at_eval[k] =
-                    voltages[static_cast<std::size_t>(nodes[k])];
-            }
-        }
-        cache.valid = true;
-    }
-
-    stamp_fixed(ctx, voltages, opts, forces);
-}
-
-/// Voltage-independent tail shared by both assembly passes: gmin,
-/// initial-condition forcing, and the floating-source branch equations.
-void Mna_system::stamp_fixed(const Eval_context& ctx,
-                             const std::vector<double>& voltages,
-                             const Newton_options& opts,
-                             std::span<const Forced_node> forces)
-{
-    // gmin on every node diagonal.
-    for (std::size_t u = 0; u < unknown_nodes_.size(); ++u) {
-        matrix_->add(static_cast<int>(u), static_cast<int>(u), opts.gmin);
-    }
+    stamp_mosfets(voltages, mosfet_vtol);
 
     // Initial-condition forcing.
     for (const Forced_node& f : forces) {
         const int row = solve_index_[static_cast<std::size_t>(f.node)];
         if (row < 0) continue;
-        matrix_->add(row, row, f.conductance);
+        matrix_->add_at_slot(diag_slot_[static_cast<std::size_t>(row)],
+                             f.conductance);
         rhs_[static_cast<std::size_t>(row)] += f.conductance * f.voltage;
     }
 
-    // Floating-source branch equations.
-    for (const Branch& b : branches_) {
-        const Node pos = b.source->pos();
-        const Node neg = b.source->neg();
-        const int prow = solve_index_[static_cast<std::size_t>(pos)];
-        const int nrow = solve_index_[static_cast<std::size_t>(neg)];
-        double v_rhs = b.source->value(ctx.time);
-        // KCL columns: branch current flows into pos, out of neg.
-        if (prow >= 0) {
-            matrix_->add(prow, b.index, -1.0);
-            matrix_->add(b.index, prow, 1.0);
+    if (!extension_devices_.empty()) {
+        Assembly_stamper stamper(solve_index_, *matrix_, rhs_, voltages);
+        for (const Device* dev : extension_devices_) dev->stamp(stamper, ctx);
+    }
+}
+
+/// Newton companion of every MOSFET: ids(v) ~ i_const + gds vd + gm vg +
+/// gms vs, with ids flowing d -> s inside the device (leaving node d,
+/// entering node s).  A MOSFET whose terminals all stayed within `vtol`
+/// of its last evaluation reuses that linearization (device bypass);
+/// columns of known voltages always read the current values.
+void Mna_system::stamp_mosfets(const std::vector<double>& voltages,
+                               double vtol)
+{
+    const auto v = [&](Node n) {
+        return voltages[static_cast<std::size_t>(n)];
+    };
+    const auto stamp_entry = [](std::span<double> values, int slot,
+                                double& rhs, double g, double v_col) {
+        if (slot >= 0) {
+            values[static_cast<std::size_t>(slot)] += g;
         } else {
-            v_rhs -= voltages[static_cast<std::size_t>(pos)];
+            rhs -= g * v_col;
         }
-        if (nrow >= 0) {
-            matrix_->add(nrow, b.index, 1.0);
-            matrix_->add(b.index, nrow, -1.0);
-        } else {
-            v_rhs += voltages[static_cast<std::size_t>(neg)];
+    };
+    const std::span<double> values = matrix_->mutable_values();
+    for (Mosfet_entry& m : mosfets_) {
+        const double vd = v(m.nodes[0]);
+        const double vg = v(m.nodes[1]);
+        const double vs = v(m.nodes[2]);
+        const bool quiet = vtol > 0.0 && m.valid &&
+                           std::fabs(vd - m.v_eval[0]) <= vtol &&
+                           std::fabs(vg - m.v_eval[1]) <= vtol &&
+                           std::fabs(vs - m.v_eval[2]) <= vtol;
+        if (!quiet) {
+            const Mosfet_eval e =
+                evaluate_mosfet(m.device->params(), vd, vg, vs,
+                                m.device->multiplicity());
+            m.v_eval = {vd, vg, vs};
+            m.gds = e.gds;
+            m.gm = e.gm;
+            m.gms = e.gms;
+            m.i_const = e.ids - (e.gds * vd + e.gm * vg + e.gms * vs);
+            m.valid = true;
+            // A NaN linearization would be accepted as "converged" (NaN
+            // fails every tolerance comparison) and cached for bypass.
+            MPSRAM_ASSERT(std::isfinite(m.gds) && std::isfinite(m.gm) &&
+                              std::isfinite(m.gms) &&
+                              std::isfinite(m.i_const),
+                          "non-finite MOSFET linearization",
+                          MPSRAM_VAL(vd), MPSRAM_VAL(vg), MPSRAM_VAL(vs));
         }
-        rhs_[static_cast<std::size_t>(b.index)] += v_rhs;
+        // Per row: the three conductances (columns d, g, s; a known
+        // column moves to the RHS), then the constant current term.
+        if (m.row_d >= 0) {
+            double r = rhs_[static_cast<std::size_t>(m.row_d)];
+            stamp_entry(values, m.slot[0], r, m.gds, vd);
+            stamp_entry(values, m.slot[1], r, m.gm, vg);
+            stamp_entry(values, m.slot[2], r, m.gms, vs);
+            rhs_[static_cast<std::size_t>(m.row_d)] = r - m.i_const;
+        }
+        if (m.row_s >= 0) {
+            double r = rhs_[static_cast<std::size_t>(m.row_s)];
+            stamp_entry(values, m.slot[3], r, -m.gds, vd);
+            stamp_entry(values, m.slot[4], r, -m.gm, vg);
+            stamp_entry(values, m.slot[5], r, -m.gms, vs);
+            rhs_[static_cast<std::size_t>(m.row_s)] = r + m.i_const;
+        }
     }
 }
 
@@ -386,6 +495,7 @@ int Mna_system::solve(const Eval_context& ctx_in,
 
     Eval_context ctx = ctx_in;
     apply_driven(ctx.time, voltages);
+    prepare_solve(ctx, voltages, opts);
 
     if (opts.solver == Solver_policy::direct) {
         return solve_direct(ctx, voltages, opts, forces);
@@ -406,7 +516,7 @@ int Mna_system::solve_direct(Eval_context ctx, std::vector<double>& voltages,
 
     for (int iter = 1; iter <= max_iter; ++iter) {
         ctx.voltages = voltages.data();
-        assemble(ctx, voltages, opts, forces);
+        assemble(ctx, voltages, 0.0, forces);
 
         lu_->factor(*matrix_, opts.pivot_floor);
         ++counters_.lu_factorizations;
@@ -515,9 +625,9 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
                             std::span<const Forced_node> forces)
 {
     // Delta-residual (chord) Newton.  The Jacobian and linearization RHS
-    // are assembled every iteration — with quiet nonlinear devices served
-    // from their stamp caches (assemble_reuse) — and only the linear
-    // solve runs on a possibly stale factorization:
+    // are assembled every iteration — with quiet MOSFETs reusing their
+    // last linearization (stamp_mosfets) — and only the linear solve runs
+    // on a possibly stale factorization:
     //
     //     r = rhs - J x      (assembled J and rhs, SpMV)
     //     M delta = r        (M = stale LU or ILU-preconditioned Krylov)
@@ -528,7 +638,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
     // is what makes bypass safe for the nonlinear MOSFET stamps, where
     // pairing a stale factorization with a fresh absolute RHS would
     // converge to the wrong point.  Device-level bypass does perturb the
-    // fixed point, by at most g * device_bypass_vtol per quiet device;
+    // fixed point, by at most g * device_bypass_vtol per quiet MOSFET;
     // the 0.5% agreement gate holds that end to end.
     const int max_iter = opts.max_iterations;
     const std::size_t n_node = unknown_nodes_.size();
@@ -546,7 +656,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
 
     for (int iter = 1; iter <= max_iter; ++iter) {
         ctx.voltages = voltages.data();
-        assemble_reuse(ctx, voltages, opts, iter == 1, forces);
+        assemble(ctx, voltages, opts.device_bypass_vtol, forces);
         ++counters_.newton_iterations;
 
         const bool refresh = !forces.empty() || confirm ||
@@ -613,10 +723,10 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
         // (unlike the direct path's two-iteration minimum, which guards
         // an absolute-RHS solve, a sub-tolerance DELTA against a current
         // operator is already a converged Newton test — quiet waveform
-        // stretches accept in one cache-replay iteration).  A solve that
+        // stretches accept in one bypassed iteration).  A solve that
         // converged outside the envelope gets one confirmation iteration
         // on a fresh factorization instead; device bypass keeps that
-        // cheap, since every nonlinear device is quiet after a
+        // cheap, since every MOSFET is quiet after a
         // sub-tolerance update.
         if (converged) {
             if (refresh || !factor_stale(ctx, voltages, opts)) {
@@ -644,15 +754,27 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
         " iterations (t = " + std::to_string(ctx.time) + " s)");
 }
 
-void Mna_system::reset_reuse_state()
-{
-    factored_ = false;
-    for (Device_cache& c : device_cache_) c.valid = false;
-}
-
 void Mna_system::accept(const Eval_context& ctx)
 {
-    for (const auto& dev : circuit_->devices()) dev->accept_step(ctx);
+    const auto v = [&](Node n) {
+        return ctx.voltages[static_cast<std::size_t>(n)];
+    };
+    if (ctx.mode == Analysis_mode::dc) {
+        for (Capacitor_history& h : history_) {
+            h.v_prev = v(h.a) - v(h.b);
+            h.i_prev = 0.0;
+        }
+        return;
+    }
+    const double a = companion_scale(ctx);
+    const bool trap = ctx.method == Integration_method::trapezoidal;
+    for (Capacitor_history& h : history_) {
+        const double v_now = v(h.a) - v(h.b);
+        double hist = a * h.c * h.v_prev;
+        if (trap) hist += h.i_prev;
+        h.i_prev = a * h.c * v_now - hist;
+        h.v_prev = v_now;
+    }
 }
 
 std::vector<double> Mna_system::breakpoints(double tstop) const

@@ -1,14 +1,33 @@
-// Compiled MNA system: node classification, pattern assembly, and the
-// Newton-Raphson solve shared by DC and transient analyses.
+// Compiled MNA system: node classification, the compiled stamp program,
+// and the Newton-Raphson solve shared by DC and transient analyses.
 //
 // Classification: a voltage source with its negative terminal on ground
 // makes its positive node "driven" (known voltage, no unknown — the common
 // case for rails and clocks, and what keeps the matrix a pure conductance
 // matrix).  Floating voltage sources get a branch-current unknown appended
 // after the node unknowns, where elimination fill guarantees their pivots.
+//
+// Stamp program: the constructor compiles every device once against the
+// fixed CSR pattern, in the spirit of caper's split conductance (G) and
+// transient (C) matrices.
+//   * Linear entries become slot-resolved arrays over the CSR values:
+//     G_lin (resistors, floating-source branch rows) and C_lin
+//     (capacitors); entries whose column is a driven node become RHS
+//     routes.  reset_reuse_state() reloads their values from the devices,
+//     so value edits on a bound workspace take effect at the next run.
+//   * Per solve, base = G_lin + a(dt, method) C_lin + gmin I is formed in
+//     one fused pass, only when dt, method, mode or gmin changed, and the
+//     RHS gets the driven routes, capacitor history and source values in
+//     one pass.
+//   * Per Newton iteration, the matrix and RHS start as copies of the
+//     per-solve base; only MOSFETs (through precomputed slots) and any
+//     extension devices (through a Stamper) are stamped on top.
+//   * accept() latches the capacitor history in one pass over its arrays.
+// Every solver tier assembles from this one program.
 #ifndef MPSRAM_SPICE_SYSTEM_H
 #define MPSRAM_SPICE_SYSTEM_H
 
+#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -24,15 +43,16 @@ namespace mpsram::spice {
 ///   direct    — factor the Jacobian on every Newton iteration.  The
 ///               bitwise oracle; every other tier is gated against it.
 ///   bypass    — delta-residual (chord) Newton with device-level bypass:
-///               the Jacobian and RHS are assembled every iteration, with
-///               quiet nonlinear devices (terminal movement below
-///               device_bypass_vtol) replaying cached stamps instead of
-///               re-running the compact model, and the linear solve
-///               reuses the last LU factorization until the operating
-///               point drifts, dt leaves the factor-time band, or
-///               convergence stalls.  Converged solutions satisfy the
-///               assembled residual — exact up to g * device_bypass_vtol
-///               per quiet device, held to the 0.5% agreement budget.
+///               the Jacobian and RHS are assembled every iteration from
+///               the stamp program, with quiet MOSFETs (terminal movement
+///               below device_bypass_vtol) reusing their last
+///               linearization instead of re-running the compact model,
+///               and the linear solve reuses the last LU factorization
+///               until the operating point drifts, dt leaves the
+///               factor-time band, or convergence stalls.  Converged
+///               solutions satisfy the assembled residual — exact up to
+///               g * device_bypass_vtol per quiet MOSFET, held to the
+///               0.5% agreement budget.
 ///   iterative — same reuse discipline applied to an ILU(0)
 ///               preconditioner driving BiCGSTAB; the big-array tier
 ///               where refactorization dominates wall time.
@@ -69,12 +89,12 @@ struct Newton_options {
     /// stall under a stale operator).
     int bypass_stall_iters = 5;
     /// bypass/iterative: device-level bypass (the classic SPICE BYPASS
-    /// lever).  A nonlinear device whose terminal voltages — driven
-    /// terminals included — all moved less than this [V] since its last
-    /// evaluation replays its cached stamp entries instead of re-running
-    /// the compact model.  The replayed linearization is off by at most
-    /// g * vtol, which the 0.5% agreement gate bounds end to end; the
-    /// direct tier never uses it.  0 disables.
+    /// lever).  A MOSFET whose terminal voltages — driven terminals
+    /// included — all moved less than this [V] since its last evaluation
+    /// stamps its cached linearization instead of re-running the compact
+    /// model.  The reused linearization is off by at most g * vtol, which
+    /// the 0.5% agreement gate bounds end to end; the direct tier never
+    /// uses it.  0 disables.
     double device_bypass_vtol = 1e-4;
     /// iterative: BiCGSTAB relative-residual target and iteration cap.
     /// The Krylov solve only has to deliver a Newton DELTA good to the
@@ -120,14 +140,13 @@ public:
               const Newton_options& opts,
               std::span<const Forced_node> forces = {});
 
-    /// Notify every device that the step at `ctx` was accepted.
+    /// Latch the capacitor history at the accepted point `ctx` (a DC
+    /// solution or an accepted transient step).
     // lint:allow(raw-socket) -- a stepper callback, not the syscall
     void accept(const Eval_context& ctx);
 
     /// Union of breakpoints of all sources in (0, tstop), sorted unique.
     std::vector<double> breakpoints(double tstop) const;
-
-    bool nonlinear() const { return nonlinear_; }
 
     /// Branch current of floating source `i` from the last solve [A].
     double branch_current(std::size_t i) const;
@@ -135,33 +154,109 @@ public:
     /// Cumulative solver work counters (never reset; diff snapshots).
     const Solver_counters& counters() const { return counters_; }
 
-    /// Drop all cross-solve reuse state (stale factorization, device
-    /// stamp caches).  Analyses call this once per run so a result is a
-    /// function of that run's inputs alone — never of what a reused
-    /// workspace solved before.  Load-bearing for MC: samples change
-    /// device parameters without moving the voltages the staleness
+    /// Reload the compiled linear values (R, C) from the devices and drop
+    /// all cross-solve reuse state (per-solve base, stale factorization,
+    /// MOSFET linearization caches).  Analyses call this once per run,
+    /// right after binding, so device value edits take effect and a
+    /// result is a function of that run's inputs alone — never of what a
+    /// reused workspace solved before.  Load-bearing for MC: samples
+    /// change device parameters without moving the voltages the staleness
     /// checks watch.
     void reset_reuse_state();
 
 private:
     class Assembly_stamper;
     class Pattern_stamper;
-    class Caching_stamper;
+
+    /// The four compiled entries of a two-terminal element or a branch
+    /// row.  Each is an index into the linear value arrays (g_lin_,
+    /// c_lin_): a CSR slot when the column is an unknown, nnz + k for
+    /// driven-node route k when it is a known voltage, -1 when the row or
+    /// column is dropped (ground or a driven equation).
+    using Lin_stamp = std::array<int, 4>;
+
+    /// A driven column: rhs[row] -= (G + a C)[nnz + k] * v[node].
+    struct Route {
+        int row;
+        Node node;
+    };
+
+    struct Resistor_entry {
+        const Resistor* device;
+        Lin_stamp stamp;
+    };
+
+    struct Capacitor_entry {
+        const Capacitor* device;
+        Lin_stamp stamp;
+    };
+
+    /// Companion-model state of one capacitor (parallel to
+    /// `capacitors_`): terminals, value, and branch voltage a - b and
+    /// branch current a -> b at the last accepted point.
+    struct Capacitor_history {
+        Node a;
+        Node b;
+        int row_a;
+        int row_b;
+        double c = 0.0;
+        double v_prev = 0.0;
+        double i_prev = 0.0;
+    };
+
+    struct Current_entry {
+        const Current_source* device;
+        int row_from;
+        int row_to;
+    };
+
+    /// MOSFET with precomputed Jacobian slots, in the order (d,d) (d,g)
+    /// (d,s) (s,d) (s,g) (s,s); -1 routes the column to the RHS.  The
+    /// cached linearization (terminal voltages at evaluation, gds, gm,
+    /// gms, and the constant current term) serves device bypass.
+    struct Mosfet_entry {
+        const Mosfet* device;
+        std::array<Node, 3> nodes;  ///< drain, gate, source
+        int row_d;
+        int row_s;
+        std::array<int, 6> slot;
+        std::array<double, 3> v_eval{};
+        double gds = 0.0;
+        double gm = 0.0;
+        double gms = 0.0;
+        double i_const = 0.0;
+        bool valid = false;
+    };
+
+    struct Driven {
+        Node node;
+        const Voltage_source* source;
+    };
+
+    struct Branch {
+        const Voltage_source* source;
+        int index;  ///< unknown index of the branch current
+        /// (pos, branch) -1, (branch, pos) +1, (neg, branch) +1,
+        /// (branch, neg) -1.
+        Lin_stamp stamp;
+    };
 
     void classify();
     void build_pattern();
+    int compile_entry(int row, Node wrt);
+    Lin_stamp compile_two_terminal(Node a, Node b);
 
+    /// Per-solve part of the program: base matrix (on a key change) and
+    /// base RHS.  `voltages` must already carry the driven values.
+    void prepare_solve(const Eval_context& ctx,
+                       const std::vector<double>& voltages,
+                       const Newton_options& opts);
+    /// Per-iteration assembly: base copy plus MOSFET, forcing and
+    /// extension-device stamps.  `mosfet_vtol` = 0 evaluates every MOSFET.
     void assemble(const Eval_context& ctx, const std::vector<double>& voltages,
-                  const Newton_options& opts,
-                  std::span<const Forced_node> forces);
-    void assemble_reuse(const Eval_context& ctx,
-                        const std::vector<double>& voltages,
-                        const Newton_options& opts, bool new_step,
-                        std::span<const Forced_node> forces);
-    void stamp_fixed(const Eval_context& ctx,
-                     const std::vector<double>& voltages,
-                     const Newton_options& opts,
-                     std::span<const Forced_node> forces);
+                  double mosfet_vtol, std::span<const Forced_node> forces);
+    void stamp_mosfets(const std::vector<double>& voltages, double vtol);
+
     int solve_direct(Eval_context ctx, std::vector<double>& voltages,
                      const Newton_options& opts,
                      std::span<const Forced_node> forces);
@@ -177,27 +272,39 @@ private:
     Circuit* circuit_;
     std::vector<int> solve_index_;    ///< node -> unknown index or -1
     std::vector<Node> unknown_nodes_; ///< unknown index -> node
-
-    struct Driven {
-        Node node;
-        const Voltage_source* source;
-    };
     std::vector<Driven> driven_;
-
-    struct Branch {
-        const Voltage_source* source;
-        int index;  ///< unknown index of the branch current
-    };
     std::vector<Branch> branches_;
-
     std::size_t total_unknowns_ = 0;
-    bool nonlinear_ = false;
 
     std::unique_ptr<Sparse_matrix> matrix_;
     std::unique_ptr<Sparse_lu> lu_;
     std::vector<double> rhs_;
     std::vector<double> solution_;
     std::vector<double> branch_currents_;
+
+    // The compiled stamp program (see the header comment).  The device
+    // lists follow circuit order; `diag_slot_` is the (u, u) slot of each
+    // node unknown (gmin and forcing land there).
+    std::vector<Resistor_entry> resistors_;
+    std::vector<Capacitor_entry> capacitors_;
+    std::vector<Capacitor_history> history_;
+    std::vector<Current_entry> current_sources_;
+    std::vector<Mosfet_entry> mosfets_;
+    std::vector<const Device*> extension_devices_;
+    std::vector<Route> routes_;
+    std::vector<int> diag_slot_;
+    std::vector<double> g_lin_;  ///< per CSR slot, then per route
+    std::vector<double> c_lin_;  ///< per CSR slot, then per route
+
+    // Per-solve base of the assembled system, keyed on what `base_values_`
+    // depends on; `base_rhs_` is rebuilt on every solve.
+    bool base_valid_ = false;
+    Analysis_mode base_mode_ = Analysis_mode::dc;
+    Integration_method base_method_ = Integration_method::backward_euler;
+    double base_dt_ = 0.0;
+    double base_gmin_ = 0.0;
+    std::vector<double> base_values_;
+    std::vector<double> base_rhs_;
 
     // Factorization-reuse state (bypass / iterative tiers).  The reuse
     // validity conditions live in factor_stale(); `v_at_factor_` is the
@@ -214,21 +321,6 @@ private:
     std::unique_ptr<Ilu0> ilu_;       ///< lazy; lives with the workspace
     Bicgstab_scratch krylov_scratch_;
     std::vector<double> x_, residual_, delta_;
-
-    // Device-level bypass state (reuse tiers only; see
-    // Newton_options::device_bypass_vtol).  One cache per device, indexed
-    // by position in circuit_->devices(); replay preserves the stamp
-    // order of a fresh assembly, so per-tier bitwise determinism holds.
-    // Validity rests on the nonlinear-device contract that stamps depend
-    // only on terminal voltages (true for the EKV MOSFET) — the drift
-    // check against `v_at_eval` is the sole invalidation trigger.
-    struct Device_cache {
-        std::vector<std::pair<int, double>> matrix_adds;  ///< (slot, g)
-        std::vector<std::pair<int, double>> rhs_adds;     ///< (row, v)
-        std::vector<double> v_at_eval;  ///< terminal voltages at eval
-        bool valid = false;
-    };
-    std::vector<Device_cache> device_cache_;
 };
 
 } // namespace mpsram::spice

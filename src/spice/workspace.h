@@ -11,7 +11,10 @@
 // them only when the bound circuit's identity or structure changes.  Device
 // *value* edits (Resistor::set_resistance, Capacitor::set_capacitance) do
 // not change the sparse pattern, so a sweep that re-points a netlist at new
-// extracted parasitics keeps the symbolic factorization.
+// extracted parasitics keeps the compiled stamp program and the symbolic
+// factorization.  Edits take effect at Mna_system::reset_reuse_state(),
+// which reloads the compiled R/C values; every analysis entry point calls it
+// right after bind(), so an edit made between runs is always live.
 //
 // A workspace is single-threaded state: give each worker of a parallel
 // sweep its own (see sram::Read_sim_context and the core:: batch APIs).

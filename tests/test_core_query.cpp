@@ -290,6 +290,31 @@ TEST(QueryDisturb, SharesTheWorstCaseMemoWithReadAndWrite)
     EXPECT_EQ(session.corner_search_count(), 1u);
 }
 
+TEST(QueryNominalMemo, WriteTwSimulatesEachNominalExactlyOnce)
+{
+    // The three options at one n race for the same nominal write on a
+    // 4-thread runner; the single-flight memo simulates it once.
+    core::Study_options opts;
+    opts.cache.mode = core::Cache_mode::off;
+    const core::Study_session session(tech::n10(), opts);
+    const std::vector<int> sizes = {16, 64, 256};
+    Query q(Metric::write_tw);
+    for (const auto option : tech::all_patterning_options) {
+        q.over_word_lines(option, sizes);
+    }
+    const auto table = session.run(q.on(core::Runner_options{4}));
+    ASSERT_EQ(table.size(), 3 * sizes.size());
+    EXPECT_EQ(session.nominal_simulation_count(), sizes.size());
+    for (std::size_t i = sizes.size(); i < table.size(); ++i) {
+        EXPECT_EQ(table.as<core::Write_row>(i).tw_nominal,
+                  table.as<core::Write_row>(i % sizes.size()).tw_nominal);
+    }
+
+    // Repeats are memo hits.
+    session.run(q.on(core::Runner_options{4}));
+    EXPECT_EQ(session.nominal_simulation_count(), sizes.size());
+}
+
 // --- accuracy override -------------------------------------------------------
 
 TEST(QueryAccuracy, OverrideMatchesPinnedSessionAndKeepsMemosSeparate)
