@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "core/serialize.h"
-#include "sram/solver_policy.h"
 #include "util/contracts.h"
 #include "util/numeric.h"
 #include "util/table.h"
@@ -164,8 +163,7 @@ void accumulate_agreement(Agreement& a, const core::Result_table& reference,
 }
 
 Agreement run_option_agreement(
-    const std::function<core::Query(tech::Patterning_option)>& make_query,
-    std::optional<spice::Solver_policy> fast_solver)
+    const std::function<core::Query(tech::Patterning_option)>& make_query)
 {
     util::expects(static_cast<bool>(make_query),
                   "agreement gate needs a query factory");
@@ -173,14 +171,12 @@ Agreement run_option_agreement(
     const core::Study_session session;
     for (const auto option : tech::all_patterning_options) {
         const core::Query query = make_query(option);
-        core::Query fast_query =
-            core::Query(query).with_accuracy(sram::Sim_accuracy::fast);
-        if (fast_solver) fast_query.with_solver(*fast_solver);
         accumulate_agreement(
             agreement,
             session.run(core::Query(query).with_accuracy(
                 sram::Sim_accuracy::reference)),
-            session.run(fast_query));
+            session.run(
+                core::Query(query).with_accuracy(sram::Sim_accuracy::fast)));
     }
     return agreement;
 }
@@ -289,20 +285,12 @@ void write_bench_json(const Scaling_config& cfg,
                       const spice::Step_stats* steps, int max_word_lines,
                       const std::vector<std::string>& extra_fields)
 {
-    // The fast legs run the process-default solver tier; reference legs
-    // always resolve to the direct oracle (sram/solver_policy.h).
     const spice::Transient_options default_topts;
     std::ofstream json(cfg.json_path);
     json << "{\n"
          << "  \"bench\": \"" << cfg.bench_name << "\",\n"
          << "  \"workload\": \"" << cfg.workload << "\",\n"
-         << "  \"metadata\": {\"solver_policy_fast\": \""
-         << sram::to_string(sram::resolve_solver_policy(
-                sram::Sim_accuracy::fast, std::nullopt))
-         << "\", \"solver_policy_reference\": \""
-         << sram::to_string(sram::resolve_solver_policy(
-                sram::Sim_accuracy::reference, std::nullopt))
-         << "\", \"integration_method\": \""
+         << "  \"metadata\": {\"integration_method\": \""
          << (default_topts.method ==
                      spice::Integration_method::trapezoidal
                  ? "trapezoidal"

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,13 +82,11 @@ void accumulate_agreement(Agreement& a, const core::Result_table& reference,
 /// option, `make_query(option)` executed under both policies (the
 /// session's nominal memos are keyed per policy, so the engines never
 /// cross results) and every row pair folded into the returned gate.
-/// `fast_solver` pins the linear-solver tier of the FAST leg only — the
-/// reference leg must stay defaulted (it resolves to direct; an explicit
-/// reuse tier under reference throws by the solver_policy.h contract), so
-/// this is how the bypass/iterative tiers are gated against the oracle.
+/// The fast leg runs the bypass Newton solver and the reference leg the
+/// direct one (sram/sim_accuracy.h), so this also gates bypass against
+/// the oracle.
 Agreement run_option_agreement(
-    const std::function<core::Query(tech::Patterning_option)>& make_query,
-    std::optional<spice::Solver_policy> fast_solver = std::nullopt);
+    const std::function<core::Query(tech::Patterning_option)>& make_query);
 
 /// Print the agreement verdict (quantity is e.g. "td"/"tw"/"v_bump").
 void report_agreement(const Agreement& a, const std::string& quantity);

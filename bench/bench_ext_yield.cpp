@@ -156,7 +156,7 @@ int main(int argc, char** argv)
             rep.calib_wall_s = timed([&] {
                 surfaces = session.calibrated_surfaces(
                     core::Metric::mc_tdp, option, n, -1.0, std::nullopt,
-                    std::nullopt, parallel);
+                    parallel);
             });
             rep.holdout_rel = surfaces->holdout_rel;
             rep.design_points = surfaces->design_points;
@@ -273,7 +273,7 @@ int main(int argc, char** argv)
          {sram::Sim_accuracy::fast, sram::Sim_accuracy::reference}) {
         (void)grid_session.calibrated_surfaces(
             core::Metric::mc_tdp, tech::Patterning_option::le3, n, -1.0,
-            accuracy, std::nullopt, core::Runner_options{hw});
+            accuracy, core::Runner_options{hw});
     }
     bench::Scaling_config cfg;
     cfg.bench_name = "bench_ext_yield";

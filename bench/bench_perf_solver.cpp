@@ -1,25 +1,27 @@
-// Linear-solver tier scaling: direct vs bypass (factorization-reuse
-// Newton) vs iterative (ILU(0)-BiCGSTAB) on nominal read transients of
-// 10x{256, 1024, 4096, 8192} columns, plus the gates that let the reuse
-// tiers ship: the 0.5% adaptive-vs-reference agreement budget per tier
-// and the bitwise thread-count determinism contract per tier.
+// Newton-solver scaling: direct (LU every iteration) vs bypass
+// (factorization-reuse Newton with device-level bypass) on nominal read
+// transients of 10x{256, 1024, 4096, 8192} columns, plus the gates that
+// let bypass ship as the fast tier's solver: the 0.5% fast-vs-reference
+// agreement budget and the bitwise thread-count determinism contract.
 //
 // Three sections land in BENCH_solver.json:
 //
-//   - "solver_matrix": per (word_lines, policy) wall time of one nominal
-//     read at fast accuracy on a warmed column context (netlist build and
-//     symbolic factorization excluded), with the Step_stats solver
-//     counters (newton_iterations / lu_factorizations / bypass_hits) that
-//     prove WHERE the speedup comes from — bypass must show
-//     lu_factorizations well under newton_iterations.
-//   - "agreement_bypass" / "agreement_iterative": fast+bypass and
-//     fast+iterative vs the reference+direct oracle over the canonical
-//     Fig. 4 read set (every patterning option, n up to 1024), both held
-//     to the same 0.5% budget as the accuracy tier.
+//   - "solver_matrix": per (word_lines, solver) wall time of one nominal
+//     read transient under fast step control on a warmed workspace
+//     (netlist build and symbolic factorization excluded), with the
+//     Step_stats solver counters (newton_iterations / lu_factorizations /
+//     bypass_hits) that prove WHERE the speedup comes from — bypass must
+//     show lu_factorizations well under newton_iterations.  The solver
+//     is pinned on spice::Transient_options, the only place a caller
+//     picks it directly.
+//   - "agreement_bypass": fast (adaptive + bypass) vs the reference
+//     (fixed-step + direct) oracle over the canonical Fig. 4 read set
+//     (every patterning option, n up to 1024), held to the 0.5% budget.
 //   - "per_policy_deterministic": 1/2/8-thread bitwise Result_table
-//     identity of a read sweep pinned to each tier.
+//     identity of a read sweep under each accuracy tier.
 //
 //   $ ./bench_perf_solver [max_word_lines]
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -29,7 +31,6 @@
 #include "core/session.h"
 #include "sram/bitline_model.h"
 #include "sram/read_sim.h"
-#include "sram/solver_policy.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -37,25 +38,31 @@ namespace {
 
 using namespace mpsram;
 
-constexpr spice::Solver_policy solver_tiers[] = {
-    spice::Solver_policy::direct, spice::Solver_policy::bypass,
-    spice::Solver_policy::iterative};
+constexpr spice::Newton_solver solvers[] = {spice::Newton_solver::direct,
+                                            spice::Newton_solver::bypass};
+
+const char* solver_name(spice::Newton_solver solver)
+{
+    return solver == spice::Newton_solver::direct ? "direct" : "bypass";
+}
 
 struct Matrix_entry {
     int word_lines = 0;
-    spice::Solver_policy policy = spice::Solver_policy::direct;
+    spice::Newton_solver solver = spice::Newton_solver::direct;
     double wall_s = 0.0;
     double speedup_vs_direct = 1.0;
     spice::Step_stats steps;
 };
 
-/// One nominal read per (word_lines, policy) at fast accuracy on a warmed
-/// context, so the measured wall is the transient solve alone.
+/// One nominal read transient per (word_lines, solver) under fast step
+/// control on a warmed workspace, so the measured wall is the transient
+/// solve alone.
 std::vector<Matrix_entry> run_solver_matrix(const std::vector<int>& sizes)
 {
     const core::Study_session session;
     const tech::Technology& t = session.technology();
     const auto cell = sram::Cell_electrical::n10(t.feol);
+    const sram::Read_options read;  // the read path's window and steps
 
     std::vector<Matrix_entry> matrix;
     for (const int n : sizes) {
@@ -65,34 +72,39 @@ std::vector<Matrix_entry> run_solver_matrix(const std::vector<int>& sizes)
             session.decomposed_array(tech::Patterning_option::euv, n);
         const sram::Bitline_electrical wires =
             sram::roll_up_nominal(session.extractor(), nominal, t, cfg);
+        sram::Read_netlist net = sram::build_read_netlist(t, cell, wires, cfg);
 
-        sram::Read_sim_context sim;
-        sram::Read_options warm;
-        warm.accuracy = sram::Sim_accuracy::fast;
-        warm.solver = spice::Solver_policy::direct;
-        // At 4k/8k rows the differential never reaches the sense
-        // threshold, so window-doubling retries would cascade up to four
-        // full transients into one cell of the matrix.  One transient per
-        // (n, policy) keeps the walls comparable across n.
-        warm.max_retries = 0;
-        sim.simulate(t, cell, wires, cfg, {}, {}, warm);
+        // The read path's first window only: at 4k/8k rows the
+        // differential never reaches the sense threshold, so its
+        // window-doubling retries would cascade up to four full
+        // transients into one cell of the matrix.  One transient per
+        // (n, solver) keeps the walls comparable across n.
+        spice::Transient_options topts;
+        topts.tstop = net.timing.wl_mid() +
+                      std::max(read.min_window,
+                               read.window_per_cell * static_cast<double>(n));
+        topts.nominal_steps = read.nominal_steps;
+        topts.method = read.method;
+        topts.dc = net.dc;
+        sram::apply_sim_accuracy(topts, sram::Sim_accuracy::fast);
+        const std::vector<spice::Node> probes = {net.bl_sense, net.blb_sense};
+        spice::Transient_workspace workspace;
+        topts.newton.solver = spice::Newton_solver::direct;
+        spice::run_transient(net.circuit, probes, topts, workspace);
 
         double direct_wall = 0.0;
-        for (const spice::Solver_policy policy : solver_tiers) {
-            sram::Read_options opts;
-            opts.accuracy = sram::Sim_accuracy::fast;
-            opts.solver = policy;
-            opts.max_retries = 0;
+        for (const spice::Newton_solver solver : solvers) {
+            topts.newton.solver = solver;
             const auto t0 = std::chrono::steady_clock::now();
-            const sram::Read_result r =
-                sim.simulate(t, cell, wires, cfg, {}, {}, opts);
+            const spice::Transient_result waves =
+                spice::run_transient(net.circuit, probes, topts, workspace);
             Matrix_entry e;
             e.word_lines = n;
-            e.policy = policy;
+            e.solver = solver;
             e.wall_s =
                 bench::seconds_of(std::chrono::steady_clock::now() - t0);
-            e.steps = r.steps;
-            if (policy == spice::Solver_policy::direct) {
+            e.steps = waves.steps();
+            if (solver == spice::Newton_solver::direct) {
                 direct_wall = e.wall_s;
             }
             e.speedup_vs_direct = direct_wall / e.wall_s;
@@ -104,12 +116,12 @@ std::vector<Matrix_entry> run_solver_matrix(const std::vector<int>& sizes)
 
 void print_solver_matrix(const std::vector<Matrix_entry>& matrix)
 {
-    util::Table table({"word lines", "policy", "wall [s]",
+    util::Table table({"word lines", "solver", "wall [s]",
                        "speedup vs direct", "newton iters", "lu factors",
                        "bypass hits"});
     for (const Matrix_entry& e : matrix) {
         table.add_row({std::to_string(e.word_lines),
-                       sram::to_string(e.policy),
+                       solver_name(e.solver),
                        util::fmt_fixed(e.wall_s, 3),
                        util::fmt_fixed(e.speedup_vs_direct, 2) + "x",
                        std::to_string(e.steps.newton_iterations),
@@ -119,8 +131,9 @@ void print_solver_matrix(const std::vector<Matrix_entry>& matrix)
     std::cout << table.render() << '\n';
 }
 
-/// 1/2/8-thread bitwise identity of a read sweep pinned to `policy`.
-bool policy_deterministic(spice::Solver_policy policy)
+/// 1/2/8-thread bitwise identity of a read sweep under `accuracy` (and
+/// so under its Newton solver).
+bool accuracy_deterministic(sram::Sim_accuracy accuracy)
 {
     const std::vector<int> sizes = {16, 24, 32, 48, 64, 96, 128};
     const auto run = [&](int threads) {
@@ -128,8 +141,7 @@ bool policy_deterministic(spice::Solver_policy policy)
         return session.run(
             core::Query(core::Metric::read_td)
                 .over_word_lines(tech::Patterning_option::le3, sizes)
-                .with_accuracy(sram::Sim_accuracy::fast)
-                .with_solver(policy)
+                .with_accuracy(accuracy)
                 .on(core::Runner_options{threads}));
     };
     const core::Result_table serial = run(1);
@@ -137,7 +149,7 @@ bool policy_deterministic(spice::Solver_policy policy)
     for (const int threads : {2, 8}) {
         identical = identical && run(threads) == serial;
     }
-    std::cout << "  " << sram::to_string(policy)
+    std::cout << "  " << sram::to_string(accuracy)
               << ": 1/2/8-thread bitwise identity "
               << (identical ? "holds" : "BROKEN") << '\n';
     return identical;
@@ -166,15 +178,14 @@ int main(int argc, char** argv)
         if (n <= max_n) matrix_sizes.push_back(n);
     }
 
-    std::cout << "Solver-tier scaling: nominal EUV read, n in {256, 1024, "
+    std::cout << "Newton-solver scaling: nominal EUV read, n in {256, 1024, "
                  "4096, 8192} up to 10x"
               << max_n << "\n"
-              << "Tiers: direct = per-iteration LU oracle, bypass = "
-                 "factorization-reuse Newton,\n"
-                 "iterative = ILU(0)-preconditioned BiCGSTAB (see "
-                 "spice/analysis.h)\n\n";
+              << "Solvers: direct = per-iteration LU oracle (reference "
+                 "tier), bypass =\nfactorization-reuse Newton (fast tier; "
+                 "see spice/analysis.h)\n\n";
 
-    // --- per-(n, policy) wall / counter matrix at fast accuracy --------------
+    // --- per-(n, solver) wall / counter matrix at fast step control ----------
     const std::vector<Matrix_entry> matrix = run_solver_matrix(matrix_sizes);
     print_solver_matrix(matrix);
 
@@ -198,48 +209,26 @@ int main(int argc, char** argv)
     };
     const bench::Scaling_outcome outcome = bench::run_thread_scaling(cfg);
 
-    // --- per-tier agreement vs the reference+direct oracle --------------------
-    // One session so the heavy reference sweeps are computed once and the
-    // per-policy memo keys keep the three engines from crossing results.
+    // --- fast (bypass) vs the reference (direct) oracle ----------------------
     constexpr int fig4_sizes[] = {16, 64, 256, 1024};
     const core::Runner_options agreement_runner{
         util::Thread_pool::hardware_threads()};
-    bench::Agreement gate_bypass;
-    bench::Agreement gate_iterative;
-    {
-        const core::Study_session session;
-        for (const auto option : tech::all_patterning_options) {
-            const core::Query query =
-                core::Query(core::Metric::read_td)
-                    .over_word_lines(option, fig4_sizes)
-                    .on(agreement_runner);
-            const core::Result_table reference = session.run(
-                core::Query(query).with_accuracy(
-                    sram::Sim_accuracy::reference));
-            bench::accumulate_agreement(
-                gate_bypass, reference,
-                session.run(core::Query(query)
-                                .with_accuracy(sram::Sim_accuracy::fast)
-                                .with_solver(spice::Solver_policy::bypass)));
-            bench::accumulate_agreement(
-                gate_iterative, reference,
-                session.run(
-                    core::Query(query)
-                        .with_accuracy(sram::Sim_accuracy::fast)
-                        .with_solver(spice::Solver_policy::iterative)));
-        }
-    }
+    const bench::Agreement gate_bypass =
+        bench::run_option_agreement([&](tech::Patterning_option option) {
+            return core::Query(core::Metric::read_td)
+                .over_word_lines(option, fig4_sizes)
+                .on(agreement_runner);
+        });
     std::cout << "Checked over the full Fig. 4 set (all options, n up to "
-                 "1024):\nbypass tier —\n";
+                 "1024):\nbypass solver —\n";
     bench::report_agreement(gate_bypass, "td");
-    std::cout << "iterative tier —\n";
-    bench::report_agreement(gate_iterative, "td");
 
-    // --- bitwise thread determinism per tier ----------------------------------
+    // --- bitwise thread determinism per accuracy tier -------------------------
     std::cout << "\nPer-tier determinism (read_td sweep, LE3):\n";
     bool deterministic = true;
-    for (const spice::Solver_policy policy : solver_tiers) {
-        deterministic = policy_deterministic(policy) && deterministic;
+    for (const sram::Sim_accuracy accuracy :
+         {sram::Sim_accuracy::reference, sram::Sim_accuracy::fast}) {
+        deterministic = accuracy_deterministic(accuracy) && deterministic;
     }
 
     // --- cold-then-warm result-cache smoke ------------------------------------
@@ -265,8 +254,8 @@ int main(int argc, char** argv)
     for (std::size_t i = 0; i < matrix.size(); ++i) {
         const Matrix_entry& e = matrix[i];
         rows += std::string("\n    {\"word_lines\": ") +
-                std::to_string(e.word_lines) + ", \"policy\": \"" +
-                sram::to_string(e.policy) +
+                std::to_string(e.word_lines) + ", \"solver\": \"" +
+                solver_name(e.solver) +
                 "\", \"wall_s\": " + std::to_string(e.wall_s) +
                 ", \"speedup_vs_direct\": " +
                 std::to_string(e.speedup_vs_direct) +
@@ -280,8 +269,6 @@ int main(int argc, char** argv)
     rows += "\n  ],";
     extra.push_back(rows);
     extra.push_back("\"agreement_bypass\": " + json_of(gate_bypass) + ",");
-    extra.push_back("\"agreement_iterative\": " + json_of(gate_iterative) +
-                    ",");
     extra.push_back(
         std::string("\"per_policy_deterministic\": ") +
         (deterministic ? "true" : "false") + ",");
@@ -293,16 +280,13 @@ int main(int argc, char** argv)
     bench::measure_nominal_steps<sram::Read_sim_context>(sweep_sizes.back(),
                                                          steps);
     std::cout << "\nStep counts, nominal read at 10x" << sweep_sizes.back()
-              << " (fast row runs the default "
-              << sram::to_string(sram::default_solver_policy())
-              << " tier):\n";
+              << " (fast row: bypass solver, reference row: direct):\n";
     bench::print_step_table(steps);
 
     bench::write_bench_json(cfg, outcome, &gate_bypass, steps,
                             matrix_sizes.back(), extra);
     return outcome.all_identical && deterministic &&
-                   gate_bypass.within_budget() &&
-                   gate_iterative.within_budget() && smoke.passed()
+                   gate_bypass.within_budget() && smoke.passed()
                ? 0
                : 1;
 }

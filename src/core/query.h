@@ -111,7 +111,7 @@ std::string_view to_string(Twp_engine engine);
 /// Persistence: a query serializes to canonical JSON and its result is
 /// cacheable under a canonical hash (core/serialize.h).  The hash covers
 /// everything that changes the VALUE of the answer — metric, resolved
-/// cases, resolved accuracy/solver, engine tiers, MC spec, and the
+/// cases, resolved accuracy, engine tiers, MC spec, and the
 /// session's configuration fingerprint — and deliberately excludes pure
 /// execution policy (`runner`, `mc.runner`, cache options): the bitwise
 /// thread-count determinism above is exactly what makes a thread-count-
@@ -130,19 +130,12 @@ struct Query {
     /// result is independent of the sweep composition.
     Runner_options runner;
 
-    /// Integration-engine override for every transient of this query;
+    /// Transient-engine override for every transient of this query —
+    /// step control and Newton solver together (sram/sim_accuracy.h);
     /// unset uses the session's Study_options policies.  The nominal
     /// memos are keyed per policy, so mixing accuracies on one session
     /// never crosses results between engines.
     std::optional<sram::Sim_accuracy> accuracy;
-
-    /// Linear-solver tier override for every transient of this query;
-    /// unset defers to the session options and ultimately the resolution
-    /// contract of sram/solver_policy.h (reference accuracy always runs
-    /// direct; an explicit reuse tier under reference throws).  Memos are
-    /// keyed on the RESOLVED policy, so mixing solver tiers on one
-    /// session never crosses results between them.
-    std::optional<spice::Solver_policy> solver;
 
     /// Monte-Carlo spec (sample count, seed, sampling scheme, sample-loop
     /// runner) for the distribution-valued metrics; ignored otherwise.
@@ -196,11 +189,6 @@ struct Query {
     Query& with_accuracy(sram::Sim_accuracy a)
     {
         accuracy = a;
-        return *this;
-    }
-    Query& with_solver(spice::Solver_policy p)
-    {
-        solver = p;
         return *this;
     }
     Query& with_mc(const mc::Distribution_options& m)

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sram/solver_policy.h"
 #include "util/contracts.h"
 #include "util/hash.h"
 
@@ -78,16 +77,6 @@ sram::Sim_accuracy accuracy_of_string(const std::string& s)
     if (s == "fast") return sram::Sim_accuracy::fast;
     if (s == "reference") return sram::Sim_accuracy::reference;
     bad_token("sim accuracy", s);
-}
-
-spice::Solver_policy solver_of_string(const std::string& s)
-{
-    for (const auto p : {spice::Solver_policy::direct,
-                         spice::Solver_policy::bypass,
-                         spice::Solver_policy::iterative}) {
-        if (sram::to_string(p) == s) return p;
-    }
-    bad_token("solver policy", s);
 }
 
 const char* string_of_color(geom::Mask_color c)
@@ -351,7 +340,6 @@ util::Json json_of_query(const Query& q)
     for (const Query_case& c : q.cases) cases.push_back(json_of_case(c));
     j.set("cases", std::move(cases));
     if (q.accuracy) j.set("accuracy", sram::to_string(*q.accuracy));
-    if (q.solver) j.set("solver", sram::to_string(*q.solver));
     Json mc;
     mc.set("samples", q.mc.samples);
     mc.set("seed", q.mc.seed);
@@ -373,9 +361,13 @@ Query query_of_json(const util::Json& j)
     if (const Json* acc = j.find("accuracy")) {
         q.accuracy = accuracy_of_string(acc->as_string());
     }
-    if (const Json* sol = j.find("solver")) {
-        q.solver = solver_of_string(sol->as_string());
-    }
+    // The Newton solver follows from the accuracy; a query naming one
+    // asks for an engine this build cannot select, so it is refused
+    // rather than silently served by whatever the accuracy maps to.
+    util::expects(j.find("solver") == nullptr,
+                  "query field 'solver' is not supported: the accuracy "
+                  "picks the Newton solver (reference: direct, fast: "
+                  "bypass)");
     const Json& mc = j.at("mc");
     q.mc.samples = int_of_json(mc.at("samples"));
     q.mc.seed = mc.at("seed").as_u64();
@@ -626,7 +618,6 @@ Json json_of_study_options(const Study_options& o)
                  ? "trapezoidal"
                  : "backward_euler");
     read.set("accuracy", sram::to_string(o.read.accuracy));
-    if (o.read.solver) read.set("solver", sram::to_string(*o.read.solver));
     j.set("read", std::move(read));
 
     Json netlist;
@@ -650,9 +641,6 @@ Json json_of_study_options(const Study_options& o)
     write.set("window", json_of_double(o.write.window));
     write.set("window_per_cell", json_of_double(o.write.window_per_cell));
     write.set("accuracy", sram::to_string(o.write.accuracy));
-    if (o.write.solver) {
-        write.set("solver", sram::to_string(*o.write.solver));
-    }
     j.set("write", std::move(write));
 
     Json disturb;
@@ -661,9 +649,6 @@ Json json_of_study_options(const Study_options& o)
     disturb.set("window_per_cell",
                 json_of_double(o.disturb.window_per_cell));
     disturb.set("accuracy", sram::to_string(o.disturb.accuracy));
-    if (o.disturb.solver) {
-        disturb.set("solver", sram::to_string(*o.disturb.solver));
-    }
     j.set("disturb", std::move(disturb));
 
     Json surrogate;
@@ -706,11 +691,11 @@ util::Json canonical_query_json(const Study_session& session,
 {
     const Study_options& opts = session.options();
 
-    // Resolved execution policies per measurement path, via the same
-    // public contract run() applies (query override, else session option,
-    // through sram/solver_policy.h).  All three paths are keyed even for
-    // metrics that touch only one — conservative: an irrelevant-option
-    // change costs a spurious miss, never a wrong hit.
+    // Resolved execution policy per measurement path, via the same
+    // public contract run() applies (query override, else session
+    // option).  All three paths are keyed even for metrics that touch
+    // only one — conservative: an irrelevant-option change costs a
+    // spurious miss, never a wrong hit.
     const sram::Sim_accuracy read_acc =
         q.accuracy.value_or(opts.read.accuracy);
     const sram::Sim_accuracy write_acc =
@@ -736,30 +721,6 @@ util::Json canonical_query_json(const Study_session& session,
     accuracy.set("write", sram::to_string(write_acc));
     accuracy.set("disturb", sram::to_string(disturb_acc));
     j.set("accuracy", std::move(accuracy));
-
-    // All three paths resolve through the sram/solver_policy.h contract.
-    // An unresolvable combination (an explicit reuse tier under the
-    // reference oracle) on a path this query never actually executes must
-    // not abort key derivation — key it as the conflict it is; the path
-    // that does execute still throws where it always did.
-    const auto solver_token =
-        [&q](sram::Sim_accuracy acc,
-             std::optional<spice::Solver_policy> fallback) -> std::string {
-        const std::optional<spice::Solver_policy> requested =
-            q.solver ? q.solver : fallback;
-        try {
-            return std::string(sram::to_string(
-                sram::resolve_solver_policy(acc, requested)));
-        } catch (const util::Precondition_error&) {
-            return "conflict:" +
-                   std::string(sram::to_string(*requested));
-        }
-    };
-    Json solver;
-    solver.set("read", solver_token(read_acc, opts.read.solver));
-    solver.set("write", solver_token(write_acc, opts.write.solver));
-    solver.set("disturb", solver_token(disturb_acc, opts.disturb.solver));
-    j.set("solver", std::move(solver));
 
     Json mc;
     mc.set("samples", q.mc.samples);
@@ -794,8 +755,7 @@ std::uint64_t corner_key(std::uint64_t fingerprint,
 }
 
 std::uint64_t nominal_key(std::uint64_t fingerprint, std::string_view kind,
-                          int word_lines, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver)
+                          int word_lines, sram::Sim_accuracy accuracy)
 {
     Json j;
     j.set("kind", kind);
@@ -803,14 +763,12 @@ std::uint64_t nominal_key(std::uint64_t fingerprint, std::string_view kind,
     j.set("fingerprint", util::hex16(fingerprint));
     j.set("word_lines", word_lines);
     j.set("accuracy", sram::to_string(accuracy));
-    j.set("solver", sram::to_string(solver));
     return util::fnv1a(j.dump());
 }
 
 std::uint64_t surface_key(std::uint64_t fingerprint, Metric metric,
                           tech::Patterning_option option, int word_lines,
-                          double ol_3sigma, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver)
+                          double ol_3sigma, sram::Sim_accuracy accuracy)
 {
     Json j;
     j.set("kind", "surface");
@@ -822,7 +780,6 @@ std::uint64_t surface_key(std::uint64_t fingerprint, Metric metric,
     j.set("ol_3sigma",
           json_of_double(ol_3sigma < 0.0 ? -1.0 : ol_3sigma));
     j.set("accuracy", sram::to_string(accuracy));
-    j.set("solver", sram::to_string(solver));
     return util::fnv1a(j.dump());
 }
 

@@ -28,11 +28,12 @@
 //         (word_lines <= 0 becomes the session's array default, negative
 //         overlay budgets normalize to -1), so `{16}` and `{0}` on a
 //         16-row session share one entry,
-//       - the RESOLVED execution policies: effective Sim_accuracy and
-//         resolved Solver_policy per measurement path (query override,
-//         else session option, through the sram/solver_policy.h
-//         resolution contract) — results differ between engines, so keys
-//         must too,
+//       - the RESOLVED execution policy: the effective Sim_accuracy per
+//         measurement path (query override, else session option) —
+//         results differ between engines, so keys must too.  The
+//         accuracy alone names the engine: it fixes both the step
+//         control and the Newton solver (sram/sim_accuracy.h), so no
+//         solver component is keyed,
 //       - the engine tiers (tdp_engine / twp_engine) and the Monte-Carlo
 //         spec (samples, seed, truncation, sampling scheme, stored mode).
 //
@@ -58,7 +59,7 @@ namespace mpsram::core {
 /// Version of every encoding in this header.  Participates in each cache
 /// key and in the cache directory layout, so bumping it orphans all
 /// previously stored entries at once (they are never misread).
-inline constexpr std::uint64_t serialization_version = 2;
+inline constexpr std::uint64_t serialization_version = 3;
 
 // --- transport round-trips ---------------------------------------------------
 
@@ -106,12 +107,10 @@ std::uint64_t corner_key(std::uint64_t fingerprint,
                          double ol_3sigma);
 /// `kind` is "nominal_td", "nominal_tw" or "nominal_disturb".
 std::uint64_t nominal_key(std::uint64_t fingerprint, std::string_view kind,
-                          int word_lines, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver);
+                          int word_lines, sram::Sim_accuracy accuracy);
 std::uint64_t surface_key(std::uint64_t fingerprint, Metric metric,
                           tech::Patterning_option option, int word_lines,
-                          double ol_3sigma, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver);
+                          double ol_3sigma, sram::Sim_accuracy accuracy);
 
 } // namespace mpsram::core
 

@@ -68,13 +68,14 @@
 // `"error":{"code","message"}`.  Codes:
 //
 //   malformed       not JSON, not an object, missing v/op/query, or an
-//                   undecodable query payload
+//                   undecodable query payload (including a query naming
+//                   a `solver`: the accuracy picks the Newton solver)
 //   bad_version     `v` differs from service_protocol_version
 //   unsupported_op  unknown `op`
 //   busy            the bounded request queue is full; the request was
 //                   NOT executed (backpressure, emitted immediately)
-//   failed          the query raised during execution (e.g. a solver-
-//                   policy contract violation); the daemon stays up
+//   failed          the query raised during execution (e.g. a surrogate
+//                   fit missing its held-out budget); the daemon stays up
 //
 // A connection streaming more than Service_options::max_line_bytes
 // without a newline is answered with one `malformed` envelope (no `id` —

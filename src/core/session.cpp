@@ -116,27 +116,6 @@ sram::Sim_accuracy Study_session::disturb_accuracy(const Query& q) const
     return q.accuracy.value_or(opts_.disturb.accuracy);
 }
 
-spice::Solver_policy Study_session::read_solver(const Query& q) const
-{
-    return sram::resolve_solver_policy(
-        read_accuracy(q), q.solver.has_value() ? q.solver
-                                               : opts_.read.solver);
-}
-
-spice::Solver_policy Study_session::write_solver(const Query& q) const
-{
-    return sram::resolve_solver_policy(
-        write_accuracy(q), q.solver.has_value() ? q.solver
-                                                : opts_.write.solver);
-}
-
-spice::Solver_policy Study_session::disturb_solver(const Query& q) const
-{
-    return sram::resolve_solver_policy(
-        disturb_accuracy(q), q.solver.has_value() ? q.solver
-                                                  : opts_.disturb.solver);
-}
-
 // --- memos -------------------------------------------------------------------
 
 namespace {
@@ -238,7 +217,6 @@ Study_session::calibrated_surfaces(Metric metric,
                                    tech::Patterning_option option,
                                    int word_lines, double ol_3sigma,
                                    std::optional<sram::Sim_accuracy> accuracy,
-                                   std::optional<spice::Solver_policy> solver,
                                    const Runner_options& runner) const
 {
     util::expects(metric == Metric::mc_tdp || metric == Metric::mc_twp,
@@ -248,13 +226,8 @@ Study_session::calibrated_surfaces(Metric metric,
     const sram::Sim_accuracy acc = accuracy.value_or(
         metric == Metric::mc_tdp ? opts_.read.accuracy
                                  : opts_.write.accuracy);
-    const spice::Solver_policy pol = sram::resolve_solver_policy(
-        acc, solver.has_value()
-                 ? solver
-                 : (metric == Metric::mc_tdp ? opts_.read.solver
-                                             : opts_.write.solver));
     const Surface_key key{metric, option, word_lines,
-                          ol_3sigma < 0.0 ? -1.0 : ol_3sigma, acc, pol};
+                          ol_3sigma < 0.0 ? -1.0 : ol_3sigma, acc};
 
     // The design evaluations and fit run once per key (single_flight); a
     // gate miss or a failed design transient un-publishes the slot, so a
@@ -265,7 +238,7 @@ Study_session::calibrated_surfaces(Metric metric,
         surface_cache_mutex_, surface_cache_, key, [&]() -> Result {
             const std::uint64_t disk_key =
                 surface_key(fingerprint_, metric, option, word_lines,
-                            ol_3sigma, acc, pol);
+                            ol_3sigma, acc);
             if (cache_) {
                 if (const auto stored = cache_->load("surface", disk_key)) {
                     // Served from disk: no design evaluations, no fit —
@@ -279,7 +252,7 @@ Study_session::calibrated_surfaces(Metric metric,
 
             surface_fits_.fetch_add(1, std::memory_order_relaxed);
             Result fitted = calibrate_surfaces(metric, option, word_lines,
-                                               ol_3sigma, acc, pol, runner);
+                                               ol_3sigma, acc, runner);
             if (cache_) {
                 cache_->store("surface", disk_key, json_of_surfaces(*fitted));
             }
@@ -292,7 +265,6 @@ Study_session::calibrate_surfaces(Metric metric,
                                   tech::Patterning_option option,
                                   int word_lines, double ol_3sigma,
                                   sram::Sim_accuracy accuracy,
-                                  spice::Solver_policy solver,
                                   const Runner_options& runner) const
 {
     const analytic::Surrogate_options& sopts = opts_.surrogate;
@@ -353,8 +325,8 @@ Study_session::calibrate_surfaces(Metric metric,
     // `runner` thread count.
     const double nominal =
         metric == Metric::mc_tdp
-            ? nominal_td_spice(word_lines, accuracy, solver, nullptr)
-            : nominal_tw_spice(word_lines, accuracy, solver, nullptr);
+            ? nominal_td_spice(word_lines, accuracy, nullptr)
+            : nominal_tw_spice(word_lines, accuracy, nullptr);
     std::vector<double> metric_vals(points.size(), 0.0);
     std::vector<double> rvar_vals(points.size(), 0.0);
     std::vector<double> cvar_vals(points.size(), 0.0);
@@ -378,9 +350,9 @@ Study_session::calibrate_surfaces(Metric metric,
                 *extractor_, g.nominal, realized, tech_, g.cfg);
             const double t =
                 metric == Metric::mc_tdp
-                    ? simulate_td_on(wires, word_lines, accuracy, solver,
+                    ? simulate_td_on(wires, word_lines, accuracy,
                                      read_sims[w])
-                    : simulate_tw_on(wires, word_lines, accuracy, solver,
+                    : simulate_tw_on(wires, word_lines, accuracy,
                                      write_sims[w]);
             metric_vals[i] = (t / nominal - 1.0) * 100.0;
             rvar_vals[i] = v.r_factor;
@@ -461,23 +433,18 @@ double Study_session::simulate_td(const sram::Bitline_electrical& wires,
                                   int word_lines) const
 {
     sram::Read_sim_context sim;
-    return simulate_td_on(
-        wires, word_lines, opts_.read.accuracy,
-        sram::resolve_solver_policy(opts_.read.accuracy, opts_.read.solver),
-        sim);
+    return simulate_td_on(wires, word_lines, opts_.read.accuracy, sim);
 }
 
 double Study_session::simulate_td_on(const sram::Bitline_electrical& wires,
                                      int word_lines,
                                      sram::Sim_accuracy accuracy,
-                                     spice::Solver_policy solver,
                                      sram::Read_sim_context& sim) const
 {
     sram::Array_config cfg = opts_.array;
     cfg.word_lines = word_lines;
     sram::Read_options ropts = opts_.read;
     ropts.accuracy = accuracy;
-    ropts.solver = solver;
     const sram::Read_result r = sim.simulate(
         tech_, cell_, wires, cfg, opts_.timing, opts_.netlist, ropts);
     util::ensures(r.crossed,
@@ -489,24 +456,18 @@ double Study_session::simulate_tw(const sram::Bitline_electrical& wires,
                                   int word_lines) const
 {
     sram::Write_sim_context sim;
-    return simulate_tw_on(
-        wires, word_lines, opts_.write.accuracy,
-        sram::resolve_solver_policy(opts_.write.accuracy,
-                                    opts_.write.solver),
-        sim);
+    return simulate_tw_on(wires, word_lines, opts_.write.accuracy, sim);
 }
 
 double Study_session::simulate_tw_on(const sram::Bitline_electrical& wires,
                                      int word_lines,
                                      sram::Sim_accuracy accuracy,
-                                     spice::Solver_policy solver,
                                      sram::Write_sim_context& sim) const
 {
     sram::Array_config cfg = opts_.array;
     cfg.word_lines = word_lines;
     sram::Write_options wopts = opts_.write;
     wopts.accuracy = accuracy;
-    wopts.solver = solver;
     const sram::Write_result r =
         sim.simulate(tech_, cell_, wires, cfg, opts_.write_timing,
                      opts_.netlist, wopts);
@@ -516,14 +477,12 @@ double Study_session::simulate_tw_on(const sram::Bitline_electrical& wires,
 
 double Study_session::simulate_disturb_on(
     const sram::Bitline_electrical& wires, int word_lines,
-    sram::Sim_accuracy accuracy, spice::Solver_policy solver,
-    sram::Disturb_sim_context& sim) const
+    sram::Sim_accuracy accuracy, sram::Disturb_sim_context& sim) const
 {
     sram::Array_config cfg = opts_.array;
     cfg.word_lines = word_lines;
     sram::Disturb_options dopts = opts_.disturb;
     dopts.accuracy = accuracy;
-    dopts.solver = solver;
     // The disturb shares the read schedule: the word line that half-selects
     // this column is fired by a read elsewhere in the row.
     const sram::Disturb_result r = sim.simulate(
@@ -536,16 +495,15 @@ double Study_session::simulate_disturb_on(
 
 double Study_session::nominal_spice(
     std::string_view kind, int word_lines, sram::Sim_accuracy accuracy,
-    spice::Solver_policy solver,
     const std::function<double(const sram::Bitline_electrical&)>& simulate)
     const
 {
-    const Nominal_key key{kind, word_lines, accuracy, solver};
+    const Nominal_key key{kind, word_lines, accuracy};
     return single_flight(nominal_cache_mutex_, nominal_cache_, key, [&] {
         // Memory miss: consult the disk cache before paying for a
         // transient.
         const std::uint64_t disk_key =
-            nominal_key(fingerprint_, kind, word_lines, accuracy, solver);
+            nominal_key(fingerprint_, kind, word_lines, accuracy);
         if (cache_) {
             if (const auto stored = cache_->load(kind, disk_key)) {
                 return util::double_of_json(stored->at("value"));
@@ -564,39 +522,36 @@ double Study_session::nominal_spice(
 
 double Study_session::nominal_td_spice(int word_lines,
                                        sram::Sim_accuracy accuracy,
-                                       spice::Solver_policy solver,
                                        sram::Read_sim_context* sim) const
 {
     return nominal_spice(
-        "nominal_td", word_lines, accuracy, solver, [&](const auto& wires) {
+        "nominal_td", word_lines, accuracy, [&](const auto& wires) {
             sram::Read_sim_context local;
-            return simulate_td_on(wires, word_lines, accuracy, solver,
+            return simulate_td_on(wires, word_lines, accuracy,
                                   sim ? *sim : local);
         });
 }
 
 double Study_session::nominal_tw_spice(int word_lines,
                                        sram::Sim_accuracy accuracy,
-                                       spice::Solver_policy solver,
                                        sram::Write_sim_context* sim) const
 {
     return nominal_spice(
-        "nominal_tw", word_lines, accuracy, solver, [&](const auto& wires) {
+        "nominal_tw", word_lines, accuracy, [&](const auto& wires) {
             sram::Write_sim_context local;
-            return simulate_tw_on(wires, word_lines, accuracy, solver,
+            return simulate_tw_on(wires, word_lines, accuracy,
                                   sim ? *sim : local);
         });
 }
 
 double Study_session::nominal_disturb_spice(
     int word_lines, sram::Sim_accuracy accuracy,
-    spice::Solver_policy solver, sram::Disturb_sim_context* sim) const
+    sram::Disturb_sim_context* sim) const
 {
     return nominal_spice(
-        "nominal_disturb", word_lines, accuracy, solver,
-        [&](const auto& wires) {
+        "nominal_disturb", word_lines, accuracy, [&](const auto& wires) {
             sram::Disturb_sim_context local;
-            return simulate_disturb_on(wires, word_lines, accuracy, solver,
+            return simulate_disturb_on(wires, word_lines, accuracy,
                                        sim ? *sim : local);
         });
 }
@@ -642,13 +597,10 @@ struct Metric_evaluators {
                              const Query_case& c, Scratch& scratch)
     {
         const sram::Sim_accuracy acc = s.read_accuracy(q);
-        const spice::Solver_policy sol = s.read_solver(q);
         Read_row row;
-        row.td_nominal =
-            s.nominal_td_spice(c.word_lines, acc, sol, &scratch.read);
-        row.td_varied =
-            s.simulate_td_on(s.worst_case_wires(c), c.word_lines, acc, sol,
-                             scratch.read);
+        row.td_nominal = s.nominal_td_spice(c.word_lines, acc, &scratch.read);
+        row.td_varied = s.simulate_td_on(s.worst_case_wires(c), c.word_lines,
+                                         acc, scratch.read);
         row.tdp_percent = (row.td_varied / row.td_nominal - 1.0) * 100.0;
         return row;
     }
@@ -659,7 +611,7 @@ struct Metric_evaluators {
         Nominal_td_row row;
         row.td_simulation =
             s.nominal_td_spice(c.word_lines, s.read_accuracy(q),
-                               s.read_solver(q), &scratch.read);
+                               &scratch.read);
         row.td_formula = analytic::td_lumped(
             s.formula_params(c.word_lines), c.word_lines);
         return row;
@@ -693,7 +645,7 @@ struct Metric_evaluators {
             // the quadratic surface — no geometry or SPICE per sample.
             const auto surfaces = s.calibrated_surfaces(
                 Metric::mc_tdp, c.option, c.word_lines, c.ol_3sigma,
-                q.accuracy, q.solver, q.mc.runner);
+                q.accuracy, q.mc.runner);
             return mc::surrogate_distribution(*g.engine, *surfaces, q.mc);
         }
 
@@ -703,12 +655,10 @@ struct Metric_evaluators {
             // never-crossing read yields tdp = NaN (poisons the summary)
             // instead of leaking the -1 s sentinel into the percentages.
             const sram::Sim_accuracy acc = s.read_accuracy(q);
-            const spice::Solver_policy sol = s.read_solver(q);
             const double td_nom =
-                s.nominal_td_spice(c.word_lines, acc, sol, nullptr);
+                s.nominal_td_spice(c.word_lines, acc, nullptr);
             sram::Read_options ropts = s.opts_.read;
             ropts.accuracy = acc;
-            ropts.solver = sol;
 
             std::vector<sram::Read_sim_context> sims(
                 static_cast<std::size_t>(q.mc.runner.resolved_threads()));
@@ -744,13 +694,11 @@ struct Metric_evaluators {
                               const Query_case& c, Scratch& scratch)
     {
         const sram::Sim_accuracy acc = s.write_accuracy(q);
-        const spice::Solver_policy sol = s.write_solver(q);
         Write_row row;
         row.tw_nominal =
-            s.nominal_tw_spice(c.word_lines, acc, sol, &scratch.write);
-        row.tw_varied =
-            s.simulate_tw_on(s.worst_case_wires(c), c.word_lines, acc, sol,
-                             scratch.write);
+            s.nominal_tw_spice(c.word_lines, acc, &scratch.write);
+        row.tw_varied = s.simulate_tw_on(s.worst_case_wires(c), c.word_lines,
+                                         acc, scratch.write);
         row.twp_percent = (row.tw_varied / row.tw_nominal - 1.0) * 100.0;
         return row;
     }
@@ -761,7 +709,7 @@ struct Metric_evaluators {
         Nominal_tw_row row;
         row.tw_simulation =
             s.nominal_tw_spice(c.word_lines, s.write_accuracy(q),
-                               s.write_solver(q), &scratch.write);
+                               &scratch.write);
         row.tw_formula = analytic::tw_lumped(
             s.tw_formula_params(c.word_lines), c.word_lines);
         return row;
@@ -776,7 +724,7 @@ struct Metric_evaluators {
         if (q.twp_engine == Twp_engine::surrogate) {
             const auto surfaces = s.calibrated_surfaces(
                 Metric::mc_twp, c.option, c.word_lines, c.ol_3sigma,
-                q.accuracy, q.solver, q.mc.runner);
+                q.accuracy, q.mc.runner);
             return mc::surrogate_distribution(*g.engine, *surfaces, q.mc);
         }
 
@@ -799,12 +747,9 @@ struct Metric_evaluators {
         }
 
         const sram::Sim_accuracy acc = s.write_accuracy(q);
-        const spice::Solver_policy sol = s.write_solver(q);
-        const double tw_nom =
-            s.nominal_tw_spice(c.word_lines, acc, sol, nullptr);
+        const double tw_nom = s.nominal_tw_spice(c.word_lines, acc, nullptr);
         sram::Write_options wopts = s.opts_.write;
         wopts.accuracy = acc;
-        wopts.solver = sol;
 
         // SPICE-in-the-loop engine: roll up each sample's realized
         // geometry and simulate its write on the per-worker context.  A
@@ -831,14 +776,11 @@ struct Metric_evaluators {
                              const Query_case& c, Scratch& scratch)
     {
         const sram::Sim_accuracy acc = s.disturb_accuracy(q);
-        const spice::Solver_policy sol = s.disturb_solver(q);
         Disturb_row row;
         row.v_bump_nominal =
-            s.nominal_disturb_spice(c.word_lines, acc, sol,
-                                    &scratch.disturb);
-        row.v_bump_varied =
-            s.simulate_disturb_on(s.worst_case_wires(c), c.word_lines, acc,
-                                  sol, scratch.disturb);
+            s.nominal_disturb_spice(c.word_lines, acc, &scratch.disturb);
+        row.v_bump_varied = s.simulate_disturb_on(
+            s.worst_case_wires(c), c.word_lines, acc, scratch.disturb);
         row.disturb_percent =
             (row.v_bump_varied / row.v_bump_nominal - 1.0) * 100.0;
         return row;

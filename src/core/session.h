@@ -166,17 +166,26 @@ public:
     /// Gaussian draws.  Throws if the held-out relative error misses
     /// `options().surrogate.budget_rel` — the gate that refuses to serve
     /// a bad fit.  Memoized on (metric, option, word_lines, ol_3sigma,
-    /// accuracy, resolved solver policy) behind a promise-backed memo
-    /// like the worst-case search: concurrent queries of one key fit
-    /// exactly once.  `accuracy` defaults to the session's read/write
-    /// policy for the metric; `solver` resolves against it
-    /// (sram/solver_policy.h).
+    /// accuracy) behind a promise-backed memo like the worst-case search:
+    /// concurrent queries of one key fit exactly once.  `accuracy`
+    /// defaults to the session's read/write policy for the metric.
     std::shared_ptr<const analytic::Yield_surfaces> calibrated_surfaces(
         Metric metric, tech::Patterning_option option, int word_lines,
         double ol_3sigma = -1.0,
         std::optional<sram::Sim_accuracy> accuracy = std::nullopt,
-        std::optional<spice::Solver_policy> solver = std::nullopt,
         const Runner_options& runner = {}) const;
+
+    /// The same, for callers written against the former signature with a
+    /// solver slot between `accuracy` and `runner`; the slot only takes
+    /// std::nullopt, because the accuracy picks the Newton solver.
+    std::shared_ptr<const analytic::Yield_surfaces> calibrated_surfaces(
+        Metric metric, tech::Patterning_option option, int word_lines,
+        double ol_3sigma, std::optional<sram::Sim_accuracy> accuracy,
+        std::nullopt_t, const Runner_options& runner) const
+    {
+        return calibrated_surfaces(metric, option, word_lines, ol_3sigma,
+                                   accuracy, runner);
+    }
 
     /// Surface calibrations actually performed (not memo hits) since
     /// construction — the observable for the one-fit-per-key contract.
@@ -264,41 +273,27 @@ private:
     sram::Sim_accuracy write_accuracy(const Query& q) const;
     sram::Sim_accuracy disturb_accuracy(const Query& q) const;
 
-    /// Effective (resolved) solver tier of a query: the query override
-    /// when present, else the session option, resolved against the
-    /// path's effective accuracy (sram/solver_policy.h contract).
-    spice::Solver_policy read_solver(const Query& q) const;
-    spice::Solver_policy write_solver(const Query& q) const;
-    spice::Solver_policy disturb_solver(const Query& q) const;
-
     /// The nominal memo entry of a metric (`kind` is its disk-cache kind,
     /// e.g. "nominal_td"): memo, then disk cache, then `simulate` on the
     /// nominal wires — exactly once per key (promise-backed).
     double nominal_spice(
         std::string_view kind, int word_lines, sram::Sim_accuracy accuracy,
-        spice::Solver_policy solver,
         const std::function<double(const sram::Bitline_electrical&)>&
             simulate) const;
     double nominal_td_spice(int word_lines, sram::Sim_accuracy accuracy,
-                            spice::Solver_policy solver,
                             sram::Read_sim_context* sim = nullptr) const;
     double nominal_tw_spice(int word_lines, sram::Sim_accuracy accuracy,
-                            spice::Solver_policy solver,
                             sram::Write_sim_context* sim = nullptr) const;
     double nominal_disturb_spice(int word_lines, sram::Sim_accuracy accuracy,
-                                 spice::Solver_policy solver,
                                  sram::Disturb_sim_context* sim) const;
     double simulate_td_on(const sram::Bitline_electrical& wires,
                           int word_lines, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver,
                           sram::Read_sim_context& sim) const;
     double simulate_tw_on(const sram::Bitline_electrical& wires,
                           int word_lines, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver,
                           sram::Write_sim_context& sim) const;
     double simulate_disturb_on(const sram::Bitline_electrical& wires,
                                int word_lines, sram::Sim_accuracy accuracy,
-                               spice::Solver_policy solver,
                                sram::Disturb_sim_context& sim) const;
 
     /// Worst-corner wire electricals of a case (memoized corner search +
@@ -317,7 +312,7 @@ private:
     std::shared_ptr<const analytic::Yield_surfaces> calibrate_surfaces(
         Metric metric, tech::Patterning_option option, int word_lines,
         double ol_3sigma, sram::Sim_accuracy accuracy,
-        spice::Solver_policy solver, const Runner_options& runner) const;
+        const Runner_options& runner) const;
 
     tech::Technology tech_;
     Study_options opts_;
@@ -330,15 +325,13 @@ private:
     std::shared_ptr<Result_cache> cache_;
     std::uint64_t fingerprint_ = 0;
 
-    // The nominal-metric memo, keyed on (kind, word_lines, accuracy,
-    // resolved solver policy) so queries overriding either execution
-    // policy on one session never cross results between engines or
-    // solver tiers.  Same promise-backed shape as the worst-case memo:
+    // The nominal-metric memo, keyed on (kind, word_lines, accuracy) so
+    // queries overriding the accuracy on one session never cross results
+    // between engines.  Same promise-backed shape as the worst-case memo:
     // batch evaluators hit it from pool workers, the first caller of a
     // key simulates outside the lock, and concurrent callers wait on the
     // shared future instead of re-simulating.
-    using Nominal_key = std::tuple<std::string_view, int, sram::Sim_accuracy,
-                                   spice::Solver_policy>;
+    using Nominal_key = std::tuple<std::string_view, int, sram::Sim_accuracy>;
     mutable std::mutex nominal_cache_mutex_;
     mutable std::map<Nominal_key, std::shared_future<double>> nominal_cache_;
     mutable std::atomic<std::size_t> nominal_simulations_{0};
@@ -368,8 +361,7 @@ private:
     // sessions never serve a fast-calibrated surface to a reference
     // query.
     using Surface_key = std::tuple<Metric, tech::Patterning_option, int,
-                                   double, sram::Sim_accuracy,
-                                   spice::Solver_policy>;
+                                   double, sram::Sim_accuracy>;
     using Surface_entry = std::shared_future<
         std::shared_ptr<const analytic::Yield_surfaces>>;
     mutable std::mutex surface_cache_mutex_;

@@ -1,17 +1,19 @@
 // Analysis drivers: DC operating point and transient simulation.
 //
-// Two orthogonal execution tiers select how much exactness a run buys:
+// One execution tier, `sram::Sim_accuracy`, selects how much exactness a
+// run buys; sram::apply_sim_accuracy sets both of its halves on
+// Transient_options:
 //
-//  * Accuracy tier (`sram::Sim_accuracy`, applied to Transient_options):
-//    fixed-step reference integration vs the calibrated adaptive-LTE
-//    controller.  Decides WHICH time points are solved.
+//  * Step control: fixed-step reference integration vs the calibrated
+//    adaptive-LTE controller.  Decides WHICH time points are solved.
 //
-//  * Solver tier (`spice::Solver_policy` on Newton_options.solver):
-//    decides HOW each Newton linear system is solved.
+//  * Newton solver (`spice::Newton_solver` on Newton_options.solver):
+//    decides HOW each Newton linear system is solved.  Reference runs
+//    `direct`, fast runs `bypass`; spice-level callers (tests, the
+//    solver bench) may set it directly.
 //      - `direct`: factor the sparse LU every Newton iteration.  The
-//        bitwise oracle; pair with Sim_accuracy::reference for golden
-//        waveforms, and use it whenever a discrepancy needs a ground
-//        truth to bisect against.
+//        bitwise oracle: the reference tier's solver, and the ground
+//        truth to bisect a discrepancy against.
 //      - `bypass`: delta-residual Newton on a reused factorization,
 //        refreshed on operating-point drift (`bypass_vtol`), dt-band
 //        exit (`bypass_dt_band`), stall (`bypass_stall_iters`), step
@@ -21,20 +23,13 @@
 //        halves a 1024-row read (the compiled stamp program of
 //        system.h makes the rest of assembly a copy).  Acceptance
 //        requires a final sub-tolerance step against a fresh
-//        factorization, so the accepted point passes the direct tier's
-//        own criterion; the residual model error is bounded by
+//        factorization, so the accepted point passes the direct
+//        solver's own criterion; the residual model error is bounded by
 //        g * device_bypass_vtol per quiet MOSFET and gated at 0.5% end
-//        to end.  This is the production default under the fast
-//        accuracy tier.
-//      - `iterative`: the same reuse discipline caching an ILU(0)
-//        preconditioner for BiCGSTAB instead of an exact LU.  The
-//        big-array tier (4k-8k rows): factor cost grows superlinearly
-//        with word lines while SpMV + triangular sweeps stay linear, so
-//        its advantage widens with n.  Falls back to exact LU on Krylov
-//        breakdown, so robustness matches bypass.
+//        to end.  The fast tier's solver.
 //    DC operating points keep their own Newton_options (Dc_options below)
 //    and default to `direct`, which pins identical initial conditions
-//    under every policy.  Per-run factorization/bypass work is observable
+//    under both tiers.  Per-run factorization/bypass work is observable
 //    in Step_stats.
 #ifndef MPSRAM_SPICE_ANALYSIS_H
 #define MPSRAM_SPICE_ANALYSIS_H
@@ -112,15 +107,15 @@ struct Transient_options {
 /// delta of the system's cumulative Solver_counters (DC operating-point
 /// work included): `lu_factorizations + bypass_hits == newton_iterations`,
 /// and a growing bypass share is the direct observable of the
-/// factorization-reuse tiers.
+/// factorization-reuse (bypass) solver.
 struct Step_stats {
     int accepted = 0;
     int lte_rejected = 0;     ///< predictor error exceeded tolerance
     int newton_rejected = 0;  ///< Newton failed to converge at the step
 
     long long newton_iterations = 0;
-    long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
-    long long bypass_hits = 0;        ///< solves on a reused factorization
+    long long lu_factorizations = 0;
+    long long bypass_hits = 0;  ///< solves on a reused factorization
 
     int total_attempts() const
     {

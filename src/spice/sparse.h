@@ -54,7 +54,7 @@ public:
     void add_at_slot(int s, double v) { values_[s] += v; }
 
     /// y = A x (serial, deterministic).  The residual kernel of the
-    /// factorization-reuse Newton path and the iterative solver.
+    /// factorization-reuse Newton path.
     void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
     const std::vector<int>& row_ptr() const { return row_ptr_; }
@@ -103,58 +103,6 @@ private:
 
     // First U slot per row is the diagonal (enforced during symbolic).
 };
-
-/// Incomplete LU with zero fill — ILU(0) — on a Sparse_matrix pattern.
-///
-/// The factorization is restricted to the original nonzero pattern
-/// (every update landing outside it is dropped), so the factor costs
-/// O(nnz * row width) with no symbolic fill pass, and apply() is two
-/// triangular sweeps over the original pattern.  On the MNA ladders this
-/// engine assembles (near-banded with natural ordering) ILU(0) is exact
-/// or nearly so, which makes it the preconditioner of the big-array
-/// iterative solver tier rather than a solver of its own.
-///
-/// The pattern (row pointers, columns, per-row diagonal slot) is copied
-/// at construction; factor() may be called repeatedly with new values of
-/// a matrix sharing that pattern.
-class Ilu0 {
-public:
-    explicit Ilu0(const Sparse_matrix& pattern);
-
-    /// Numeric ILU(0) of the matrix values (same pattern as the
-    /// constructor argument).  Throws Singular_matrix_error on a pivot
-    /// whose magnitude falls below `pivot_floor`.
-    void factor(const Sparse_matrix& a, double pivot_floor = 1e-13);
-
-    /// x := (L U)^-1 x (forward then backward sweep, in place).
-    void apply(std::vector<double>& x) const;
-
-    std::size_t size() const { return n_; }
-
-private:
-    std::size_t n_;
-    std::vector<int> row_ptr_;    ///< copy of the pattern row pointers
-    std::vector<int> cols_;       ///< copy of the pattern columns
-    std::vector<int> diag_slot_;  ///< slot of (i, i) per row
-    std::vector<double> values_;  ///< factored values, pattern-aligned
-    std::vector<double> diag_inv_;
-};
-
-/// Reusable vector scratch of bicgstab(); keep one per solver context so
-/// repeated Newton iterations do not reallocate.
-struct Bicgstab_scratch {
-    std::vector<double> r, r0, p, v, s, t, phat, shat;
-};
-
-/// Preconditioned BiCGSTAB: solve A x = b with right preconditioner M
-/// (x starts from the zero vector; `x` is overwritten).  Converges when
-/// ||r||_2 <= rel_tol * ||b||_2.  Returns the iteration count on
-/// success, -1 on breakdown or iteration exhaustion — the caller decides
-/// whether to refresh the preconditioner or fall back to a direct
-/// factorization.  Strictly serial and deterministic.
-int bicgstab(const Sparse_matrix& a, const Ilu0& m,
-             const std::vector<double>& b, std::vector<double>& x,
-             double rel_tol, int max_iters, Bicgstab_scratch& scratch);
 
 } // namespace mpsram::spice
 

@@ -497,7 +497,7 @@ int Mna_system::solve(const Eval_context& ctx_in,
     apply_driven(ctx.time, voltages);
     prepare_solve(ctx, voltages, opts);
 
-    if (opts.solver == Solver_policy::direct) {
+    if (opts.solver == Newton_solver::direct) {
         return solve_direct(ctx, voltages, opts, forces);
     }
     return solve_reuse(ctx, voltages, opts, forces);
@@ -559,7 +559,7 @@ bool Mna_system::factor_stale(const Eval_context& ctx,
                               const std::vector<double>& voltages,
                               const Newton_options& opts) const
 {
-    if (!factored_ || factored_policy_ != opts.solver) return true;
+    if (!factored_) return true;
     if (mode_at_factor_ != ctx.mode || method_at_factor_ != ctx.method) {
         return true;
     }
@@ -584,42 +584,6 @@ bool Mna_system::factor_stale(const Eval_context& ctx,
     return false;
 }
 
-void Mna_system::factor_current(const Newton_options& opts)
-{
-    if (opts.solver == Solver_policy::iterative) {
-        if (!ilu_) ilu_ = std::make_unique<Ilu0>(*matrix_);
-        ilu_->factor(*matrix_, opts.pivot_floor);
-    } else {
-        lu_->factor(*matrix_, opts.pivot_floor);
-    }
-    ++counters_.lu_factorizations;
-}
-
-void Mna_system::solve_delta(const Newton_options& opts)
-{
-    if (opts.solver != Solver_policy::iterative) {
-        delta_ = residual_;
-        lu_->solve(delta_);
-        return;
-    }
-    if (bicgstab(*matrix_, *ilu_, residual_, delta_, opts.iterative_tol,
-                 opts.iterative_max_iters, krylov_scratch_) >= 0) {
-        return;
-    }
-    // Krylov breakdown or exhaustion under a stale preconditioner:
-    // refresh it once, then fall back to an exact factorization.
-    ilu_->factor(*matrix_, opts.pivot_floor);
-    ++counters_.lu_factorizations;
-    if (bicgstab(*matrix_, *ilu_, residual_, delta_, opts.iterative_tol,
-                 opts.iterative_max_iters, krylov_scratch_) >= 0) {
-        return;
-    }
-    lu_->factor(*matrix_, opts.pivot_floor);
-    ++counters_.lu_factorizations;
-    delta_ = residual_;
-    lu_->solve(delta_);
-}
-
 int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
                             const Newton_options& opts,
                             std::span<const Forced_node> forces)
@@ -630,7 +594,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
     // on a possibly stale factorization:
     //
     //     r = rhs - J x      (assembled J and rhs, SpMV)
-    //     M delta = r        (M = stale LU or ILU-preconditioned Krylov)
+    //     M delta = r        (M = possibly stale LU)
     //     x += clamp(delta)
     //
     // The fixed point satisfies r = 0 for the assembled system, so a
@@ -663,8 +627,8 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
                              stale_iters >= opts.bypass_stall_iters ||
                              factor_stale(ctx, voltages, opts);
         if (refresh) {
-            factor_current(opts);
-            factored_policy_ = opts.solver;
+            lu_->factor(*matrix_, opts.pivot_floor);
+            ++counters_.lu_factorizations;
             mode_at_factor_ = ctx.mode;
             method_at_factor_ = ctx.method;
             dt_at_factor_ = ctx.dt;
@@ -691,14 +655,14 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
             residual_[i] = rhs_[i] - residual_[i];
         }
 
-        solve_delta(opts);
+        delta_ = residual_;
+        lu_->solve(delta_);
         // The residual is assembled fresh each iteration, so a poisoned
         // delta means either a poisoned stamp slipped through or the
-        // stale factorization/preconditioner produced garbage.
+        // stale factorization produced garbage.
         MPSRAM_ASSERT(util::all_finite(delta_),
-                      "non-finite reuse-tier Newton delta",
-                      MPSRAM_VAL(ctx.time), MPSRAM_VAL(iter),
-                      MPSRAM_VAL(static_cast<int>(opts.solver)));
+                      "non-finite bypass Newton delta",
+                      MPSRAM_VAL(ctx.time), MPSRAM_VAL(iter));
 
         bool converged = true;
         for (std::size_t u = 0; u < n_node; ++u) {

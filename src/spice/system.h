@@ -23,7 +23,7 @@
 //     per-solve base; only MOSFETs (through precomputed slots) and any
 //     extension devices (through a Stamper) are stamped on top.
 //   * accept() latches the capacitor history in one pass over its arrays.
-// Every solver tier assembles from this one program.
+// Both Newton solvers assemble from this one program.
 #ifndef MPSRAM_SPICE_SYSTEM_H
 #define MPSRAM_SPICE_SYSTEM_H
 
@@ -37,11 +37,11 @@
 
 namespace mpsram::spice {
 
-/// Linear-solver tier inside the Newton loop (full semantics in
-/// analysis.h, next to the accuracy tier it composes with).
+/// Linear solver inside the Newton loop (full semantics in analysis.h;
+/// sram::apply_sim_accuracy picks it from the accuracy tier).
 ///
 ///   direct    — factor the Jacobian on every Newton iteration.  The
-///               bitwise oracle; every other tier is gated against it.
+///               bitwise oracle that bypass is gated against.
 ///   bypass    — delta-residual (chord) Newton with device-level bypass:
 ///               the Jacobian and RHS are assembled every iteration from
 ///               the stamp program, with quiet MOSFETs (terminal movement
@@ -53,10 +53,7 @@ namespace mpsram::spice {
 ///               solutions satisfy the assembled residual — exact up to
 ///               g * device_bypass_vtol per quiet MOSFET, held to the
 ///               0.5% agreement budget.
-///   iterative — same reuse discipline applied to an ILU(0)
-///               preconditioner driving BiCGSTAB; the big-array tier
-///               where refactorization dominates wall time.
-enum class Solver_policy { direct, bypass, iterative };
+enum class Newton_solver { direct, bypass };
 
 struct Newton_options {
     int max_iterations = 100;
@@ -69,26 +66,26 @@ struct Newton_options {
     double gmin = 1e-12;
     double pivot_floor = 1e-13;
 
-    Solver_policy solver = Solver_policy::direct;
-    /// bypass/iterative: refresh the factorization when any node voltage
+    Newton_solver solver = Newton_solver::direct;
+    /// bypass: refresh the factorization when any node voltage
     /// (driven nodes included — word-line ramps move the MOSFET
     /// linearizations) drifts more than this from the factor-time
     /// operating point [V].  Kept tight: a near-current operator keeps
     /// chord steps Newton-quality AND lets a converged solve accept on a
     /// still-valid factor without a confirmation iteration.
     double bypass_vtol = 5e-3;
-    /// bypass/iterative: refresh when dt leaves [dt_f / band, dt_f * band]
+    /// bypass: refresh when dt leaves [dt_f / band, dt_f * band]
     /// around the factor-time step (capacitor companion conductances
     /// scale as C/dt).  Default 1.0 = dt-exact reuse: the adaptive
     /// controller parks at dt_max through quiet stretches, which is
     /// where reuse pays; reusing across a dt change perturbs every
     /// companion conductance and stalls the chord iteration.
     double bypass_dt_band = 1.0;
-    /// bypass/iterative: refresh once a factorization has served this
+    /// bypass: refresh once a factorization has served this
     /// many consecutive Newton iterations within a solve (convergence
     /// stall under a stale operator).
     int bypass_stall_iters = 5;
-    /// bypass/iterative: device-level bypass (the classic SPICE BYPASS
+    /// bypass: device-level bypass (the classic SPICE BYPASS
     /// lever).  A MOSFET whose terminal voltages — driven terminals
     /// included — all moved less than this [V] since its last evaluation
     /// stamps its cached linearization instead of re-running the compact
@@ -96,21 +93,16 @@ struct Newton_options {
     /// the 0.5% agreement gate bounds end to end; the direct tier never
     /// uses it.  0 disables.
     double device_bypass_vtol = 1e-4;
-    /// iterative: BiCGSTAB relative-residual target and iteration cap.
-    /// The Krylov solve only has to deliver a Newton DELTA good to the
-    /// convergence tolerances — far looser than machine precision.
-    double iterative_tol = 1e-8;
-    int iterative_max_iters = 400;
 };
 
 /// Cumulative linear-solver work counters (monotone over the life of the
 /// system; analysis drivers snapshot-and-diff them into per-run
 /// Step_stats).  `bypass_hits` counts Newton iterations whose linear
-/// solve was served by a reused factorization/preconditioner —
-/// factorization-avoidance made observable.
+/// solve was served by a reused factorization — factorization-avoidance
+/// made observable.
 struct Solver_counters {
     long long newton_iterations = 0;
-    long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
+    long long lu_factorizations = 0;
     long long bypass_hits = 0;
 };
 
@@ -266,8 +258,6 @@ private:
     bool factor_stale(const Eval_context& ctx,
                       const std::vector<double>& voltages,
                       const Newton_options& opts) const;
-    void factor_current(const Newton_options& opts);
-    void solve_delta(const Newton_options& opts);
 
     Circuit* circuit_;
     std::vector<int> solve_index_;    ///< node -> unknown index or -1
@@ -306,20 +296,17 @@ private:
     std::vector<double> base_values_;
     std::vector<double> base_rhs_;
 
-    // Factorization-reuse state (bypass / iterative tiers).  The reuse
-    // validity conditions live in factor_stale(); `v_at_factor_` is the
-    // full node-indexed voltage vector at factor time.
+    // Factorization-reuse state (bypass).  The reuse validity conditions
+    // live in factor_stale(); `v_at_factor_` is the full node-indexed
+    // voltage vector at factor time.
     Solver_counters counters_;
     bool factored_ = false;
-    Solver_policy factored_policy_ = Solver_policy::direct;
     Analysis_mode mode_at_factor_ = Analysis_mode::dc;
     Integration_method method_at_factor_ = Integration_method::backward_euler;
     double dt_at_factor_ = 0.0;
     double gmin_at_factor_ = 0.0;
     std::vector<double> v_at_factor_;
 
-    std::unique_ptr<Ilu0> ilu_;       ///< lazy; lives with the workspace
-    Bicgstab_scratch krylov_scratch_;
     std::vector<double> x_, residual_, delta_;
 };
 

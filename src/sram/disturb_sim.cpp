@@ -35,8 +35,6 @@ Disturb_result simulate_disturb(Disturb_netlist& net,
     topts.nominal_steps = opts.nominal_steps;
     topts.dc = net.dc;
     apply_sim_accuracy(topts, opts.accuracy);
-    apply_solver_policy(topts,
-                        resolve_solver_policy(opts.accuracy, opts.solver));
 
     const std::vector<spice::Node> probes = {net.q, net.qb, net.bl_far,
                                              net.blb_far};

@@ -21,13 +21,10 @@
 #ifndef MPSRAM_SRAM_DISTURB_SIM_H
 #define MPSRAM_SRAM_DISTURB_SIM_H
 
-#include <optional>
-
 #include "spice/workspace.h"
 #include "sram/netlist_builder.h"
 #include "sram/sim_accuracy.h"
 #include "sram/sim_context.h"
-#include "sram/solver_policy.h"
 
 namespace mpsram::sram {
 
@@ -43,9 +40,6 @@ struct Disturb_options {
     /// Integration engine (see sim_accuracy.h), same policy knob as the
     /// read and write paths.
     Sim_accuracy accuracy = default_sim_accuracy();
-    /// Linear-solver tier; resolved against `accuracy` exactly like the
-    /// read and write paths (see solver_policy.h).
-    std::optional<spice::Solver_policy> solver{};
 };
 
 struct Disturb_result {

@@ -31,9 +31,6 @@ Read_result simulate_read(Read_netlist& net, const Read_options& opts,
         std::max(opts.min_window,
                  opts.window_per_cell * static_cast<double>(net.word_lines));
 
-    const spice::Solver_policy solver =
-        resolve_solver_policy(opts.accuracy, opts.solver);
-
     Read_result result;
     for (int attempt = 0; attempt <= opts.max_retries; ++attempt) {
         spice::Transient_options topts;
@@ -42,7 +39,6 @@ Read_result simulate_read(Read_netlist& net, const Read_options& opts,
         topts.method = opts.method;
         topts.dc = net.dc;
         apply_sim_accuracy(topts, opts.accuracy);
-        apply_solver_policy(topts, solver);
 
         const std::vector<spice::Node> probes = {
             net.bl_sense, net.blb_sense, net.bl_far, net.blb_far, net.wl,

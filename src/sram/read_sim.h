@@ -4,14 +4,11 @@
 #ifndef MPSRAM_SRAM_READ_SIM_H
 #define MPSRAM_SRAM_READ_SIM_H
 
-#include <optional>
-
 #include "spice/analysis.h"
 #include "spice/workspace.h"
 #include "sram/netlist_builder.h"
 #include "sram/sim_accuracy.h"
 #include "sram/sim_context.h"
-#include "sram/solver_policy.h"
 
 namespace mpsram::sram {
 
@@ -32,10 +29,6 @@ struct Read_options {
     /// Integration engine (see sim_accuracy.h): calibrated adaptive-LTE
     /// stepping by default, fixed-step reference when pinned.
     Sim_accuracy accuracy = default_sim_accuracy();
-    /// Linear-solver tier; defaulted requests resolve against `accuracy`
-    /// (see solver_policy.h — reference always runs direct, an explicit
-    /// reuse tier under reference throws).
-    std::optional<spice::Solver_policy> solver{};
 };
 
 struct Read_result {

@@ -33,9 +33,11 @@ void apply_sim_accuracy(spice::Transient_options& topts,
 {
     if (accuracy == Sim_accuracy::reference) {
         topts.adaptive = false;
+        topts.newton.solver = spice::Newton_solver::direct;
         return;
     }
     topts.adaptive = true;
+    topts.newton.solver = spice::Newton_solver::bypass;
     topts.lte_rel = fast_lte_rel;
     topts.lte_abs = fast_lte_abs;
     topts.lte_max_growth = fast_lte_max_growth;

@@ -1,15 +1,18 @@
-// Accuracy policy for the SPICE-driven measurement paths.
+// Accuracy policy for the SPICE-driven measurement paths — the one
+// execution-policy axis of a measurement.
 //
 // Every figure of the paper is dominated by transient cost, and almost all
 // of that cost is spent resolving waveforms that are quiet for most of the
-// window.  The policy picks the integration engine for a measurement:
+// window.  The policy picks both halves of the transient engine — the
+// step control and the Newton solver (spice/analysis.h):
 //
-//   reference  fixed nominal-step integration — the validation oracle.
-//              Bitwise identical to the pre-policy behaviour; tests and
-//              calibration runs pin this engine.
-//   fast       adaptive-LTE stepping with the calibrated tolerances below —
-//              the production default for sweeps, batch APIs, and the
-//              MC / corner-search drivers.
+//   reference  fixed nominal-step integration on the direct Newton solver
+//              (an LU factorization every iteration) — the validation
+//              oracle.  Tests and calibration runs pin this engine.
+//   fast       adaptive-LTE stepping with the calibrated tolerances below,
+//              on the bypass Newton solver (factorization reuse plus
+//              device-level bypass) — the production default for sweeps,
+//              batch APIs, and the MC / corner-search drivers.
 //
 // Calibration methodology (bench_perf_spice re-checks it on every run and
 // fails if the budget is exceeded): the fast tolerances were chosen by
@@ -19,9 +22,10 @@
 // loosest setting whose adaptive td and tdp stay within 0.5% of the
 // fixed-step reference on every row of Fig. 4 / Table II / Table III,
 // while cutting the implicit-solve count by >= 2x on the 10x1024 rows.
-// Step selection is input-deterministic (no timers, no thread state), so
-// the determinism contract of the batch APIs is unchanged: results are
-// bitwise identical at any thread count under either policy.
+// Step selection and factorization reuse are input-deterministic (no
+// timers, no thread state), so the determinism contract of the batch APIs
+// is unchanged: results are bitwise identical at any thread count under
+// either policy.
 #ifndef MPSRAM_SRAM_SIM_ACCURACY_H
 #define MPSRAM_SRAM_SIM_ACCURACY_H
 
@@ -54,8 +58,11 @@ Sim_accuracy parse_sim_accuracy(std::string_view text);
 /// via parse_sim_accuracy.
 Sim_accuracy default_sim_accuracy();
 
-/// Configure `topts` for the policy: `reference` forces fixed stepping,
-/// `fast` enables adaptive LTE control with the calibrated tolerances.
+/// Configure `topts` for the policy — the single place that maps accuracy
+/// to an engine: `reference` forces fixed stepping and the direct Newton
+/// solver, `fast` enables adaptive LTE control with the calibrated
+/// tolerances and the bypass Newton solver.  The DC operating point keeps
+/// its own options (`topts.dc`) and stays direct.
 void apply_sim_accuracy(spice::Transient_options& topts,
                         Sim_accuracy accuracy);
 

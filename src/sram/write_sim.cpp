@@ -33,8 +33,6 @@ Write_result simulate_write(Write_netlist& net, const Write_options& opts,
     topts.nominal_steps = opts.nominal_steps;
     topts.dc = net.dc;
     apply_sim_accuracy(topts, opts.accuracy);
-    apply_solver_policy(topts,
-                        resolve_solver_policy(opts.accuracy, opts.solver));
 
     const std::vector<spice::Node> probes = {net.q, net.qb, net.bl,
                                              net.blb};

@@ -15,13 +15,11 @@
 #define MPSRAM_SRAM_WRITE_SIM_H
 
 #include <limits>
-#include <optional>
 
 #include "spice/workspace.h"
 #include "sram/netlist_builder.h"
 #include "sram/sim_accuracy.h"
 #include "sram/sim_context.h"
-#include "sram/solver_policy.h"
 
 namespace mpsram::sram {
 
@@ -37,9 +35,6 @@ struct Write_options {
     /// Integration engine (see sim_accuracy.h), same policy as the read
     /// path: calibrated adaptive-LTE by default, fixed-step when pinned.
     Sim_accuracy accuracy = default_sim_accuracy();
-    /// Linear-solver tier; resolved against `accuracy` exactly like the
-    /// read path (see solver_policy.h).
-    std::optional<spice::Solver_policy> solver{};
 };
 
 struct Write_result {

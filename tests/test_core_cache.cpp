@@ -69,6 +69,17 @@ TEST(CoreCache, QueryJsonRoundTripsEveryField)
     EXPECT_EQ(back.twp_engine, q.twp_engine);
 }
 
+TEST(CoreCache, QueryJsonRejectsSolverField)
+{
+    // The accuracy picks the Newton solver; a payload naming one must be
+    // refused, not silently served by whatever its accuracy maps to.
+    util::Json j = core::json_of_query(
+        core::Query(core::Metric::read_td)
+            .with_case({tech::Patterning_option::le3, 16, -1.0}));
+    j.set("solver", "direct");
+    EXPECT_THROW(core::query_of_json(j), util::Precondition_error);
+}
+
 TEST(CoreCache, QueryKeyIgnoresExecutionPolicy)
 {
     const core::Study_session session;
@@ -105,9 +116,13 @@ TEST(CoreCache, QueryKeyResolvesSessionDefaults)
 TEST(CoreCache, QueryKeySeparatesResultChangingFields)
 {
     const core::Study_session session;
+    // Pinned, not the session default: MPSRAM_SIM_ACCURACY=reference
+    // flips the default, and the accuracy flip below must be a change on
+    // every environment.
     const core::Query base =
         core::Query(core::Metric::mc_tdp)
-            .with_case({tech::Patterning_option::le3, 16, -1.0});
+            .with_case({tech::Patterning_option::le3, 16, -1.0})
+            .with_accuracy(sram::Sim_accuracy::fast);
     const std::uint64_t base_key = core::query_key(session, base);
 
     core::Query other_seed = base;

@@ -102,6 +102,26 @@ TEST(CoreService, MalformedRequestsGetStructuredErrors)
     EXPECT_FALSE(service.shutdown_requested());
 }
 
+TEST(CoreService, QueryNamingASolverGetsAnErrorNotAResult)
+{
+    // The accuracy picks the Newton solver; a served line asking for one
+    // must be refused instead of answered by the accuracy's solver.
+    const core::Study_session session(tech::n10(), uncached());
+    core::Query_service service(session, {});
+    util::Json request = util::Json::parse(query_line(small_query(), 3));
+    util::Json query = request.at("query");
+    query.set("solver", "direct");
+    request.set("query", std::move(query));
+
+    const util::Json response =
+        util::Json::parse(service.handle_line(request.dump()));
+    EXPECT_FALSE(response.at("ok").as_bool());
+    EXPECT_EQ(response.at("id").as_u64(), 3u);
+    EXPECT_EQ(response.at("error").at("code").as_string(), "malformed");
+    EXPECT_EQ(response.find("result"), nullptr);
+    EXPECT_EQ(session.query_run_count(), 0u);
+}
+
 TEST(CoreService, ErrorEnvelopeEchoesTheRequestId)
 {
     const core::Study_session session(tech::n10(), uncached());

@@ -3,7 +3,6 @@
 // the tests target the parse functions they delegate to.
 #include "core/result_cache.h"
 #include "sram/sim_accuracy.h"
-#include "sram/solver_policy.h"
 
 #include <gtest/gtest.h>
 
@@ -43,41 +42,6 @@ TEST(EnvPolicy, SimAccuracyErrorNamesValueAndAcceptedSet)
         EXPECT_NE(what.find("'refrence'"), std::string::npos) << what;
         EXPECT_NE(what.find("'reference'"), std::string::npos) << what;
         EXPECT_NE(what.find("'fast'"), std::string::npos) << what;
-    }
-}
-
-TEST(EnvPolicy, SolverPolicyParsesAcceptedTokens)
-{
-    EXPECT_EQ(sram::parse_solver_policy("direct"),
-              spice::Solver_policy::direct);
-    EXPECT_EQ(sram::parse_solver_policy("bypass"),
-              spice::Solver_policy::bypass);
-    EXPECT_EQ(sram::parse_solver_policy("iterative"),
-              spice::Solver_policy::iterative);
-}
-
-TEST(EnvPolicy, SolverPolicyRejectsUnknownToken)
-{
-    EXPECT_THROW(sram::parse_solver_policy("Bypass"),
-                 util::Precondition_error);
-    EXPECT_THROW(sram::parse_solver_policy(""), util::Precondition_error);
-    EXPECT_THROW(sram::parse_solver_policy("ilu"),
-                 util::Precondition_error);
-}
-
-TEST(EnvPolicy, SolverPolicyErrorNamesValueAndAcceptedSet)
-{
-    try {
-        sram::parse_solver_policy("bypas");
-        FAIL() << "parse should have thrown";
-    } catch (const util::Precondition_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("MPSRAM_SOLVER_POLICY"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("'bypas'"), std::string::npos) << what;
-        EXPECT_NE(what.find("'direct'"), std::string::npos) << what;
-        EXPECT_NE(what.find("'bypass'"), std::string::npos) << what;
-        EXPECT_NE(what.find("'iterative'"), std::string::npos) << what;
     }
 }
 
@@ -151,10 +115,6 @@ TEST(EnvPolicy, DefaultsAreUsableWithoutEnvPins)
     const sram::Sim_accuracy acc = sram::default_sim_accuracy();
     EXPECT_TRUE(acc == sram::Sim_accuracy::fast ||
                 acc == sram::Sim_accuracy::reference);
-    const spice::Solver_policy pol = sram::default_solver_policy();
-    EXPECT_TRUE(pol == spice::Solver_policy::direct ||
-                pol == spice::Solver_policy::bypass ||
-                pol == spice::Solver_policy::iterative);
     const core::Cache_mode mode = core::default_cache_mode();
     EXPECT_TRUE(mode == core::Cache_mode::off ||
                 mode == core::Cache_mode::read ||

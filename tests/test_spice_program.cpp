@@ -53,13 +53,13 @@ struct Inverter_rc {
     }
 };
 
-Transient_options inverter_options(Solver_policy policy)
+Transient_options inverter_options(Newton_solver solver)
 {
     Transient_options opts;
     opts.tstop = 300e-12;
     opts.nominal_steps = 600;
     opts.adaptive = true;
-    opts.newton.solver = policy;
+    opts.newton.solver = solver;
     return opts;
 }
 
@@ -74,7 +74,7 @@ void expect_bitwise_equal(const Transient_result& a, const Transient_result& b,
     EXPECT_EQ(a.steps().lu_factorizations, b.steps().lu_factorizations);
 }
 
-class ValueEditTest : public ::testing::TestWithParam<Solver_policy> {};
+class ValueEditTest : public ::testing::TestWithParam<Newton_solver> {};
 
 TEST_P(ValueEditTest, EditedWorkspaceMatchesFreshBuildBitwise)
 {
@@ -106,8 +106,8 @@ TEST_P(ValueEditTest, EditedWorkspaceMatchesFreshBuildBitwise)
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, ValueEditTest,
-                         ::testing::Values(Solver_policy::direct,
-                                           Solver_policy::bypass));
+                         ::testing::Values(Newton_solver::direct,
+                                           Newton_solver::bypass));
 
 /// Grounded 1 V at a, floating 0.5 V from a up to b (branch row), R1 from
 /// b to c, R2 from c to ground, a current source into c, and C at c:
@@ -150,7 +150,7 @@ TEST(StampProgram, FloatingSourceBranchAndCurrentSourceDc)
 }
 
 class BranchAndSourceTransient
-    : public ::testing::TestWithParam<Solver_policy> {};
+    : public ::testing::TestWithParam<Newton_solver> {};
 
 TEST_P(BranchAndSourceTransient, StepResponseMatchesAnalytic)
 {
@@ -174,7 +174,7 @@ TEST_P(BranchAndSourceTransient, StepResponseMatchesAnalytic)
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, BranchAndSourceTransient,
-                         ::testing::Values(Solver_policy::direct,
-                                           Solver_policy::bypass));
+                         ::testing::Values(Newton_solver::direct,
+                                           Newton_solver::bypass));
 
 } // namespace

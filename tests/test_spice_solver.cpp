@@ -1,14 +1,16 @@
-// Linear-solver tier (spice::Solver_policy): factorization reuse, ILU(0),
-// BiCGSTAB, and the Step_stats counter contracts that prove which tier
-// actually ran.  Semantics in spice/analysis.h.
+// Newton solver (spice::Newton_solver): factorization reuse and the
+// Step_stats counter contracts that prove which solver actually ran.
+// Semantics in spice/analysis.h.
 #include "spice/sparse.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "spice/analysis.h"
+#include "spice/measure.h"
 #include "spice/mosfet_model.h"
 #include "sram/read_sim.h"
 #include "extract/extractor.h"
@@ -18,9 +20,7 @@
 namespace {
 
 using namespace mpsram;
-using spice::Bicgstab_scratch;
-using spice::Ilu0;
-using spice::Solver_policy;
+using spice::Newton_solver;
 using spice::Sparse_lu;
 using spice::Sparse_matrix;
 
@@ -79,67 +79,8 @@ TEST(SolverReuse, StaleFactorSolveBitwiseIdenticalToFresh)
     }
 }
 
-TEST(Ilu0, ExactOnTridiagonalLadder)
-{
-    // A tridiagonal factorization has no fill to drop, so ILU(0) IS the
-    // exact LU and apply() solves the system to rounding.
-    const std::size_t n = 80;
-    const Sparse_matrix m = ladder(n);
-    Ilu0 ilu(m);
-    ilu.factor(m);
-
-    Sparse_lu lu(m);
-    lu.factor(m);
-
-    std::vector<double> x_ilu = ramp_rhs(n);
-    ilu.apply(x_ilu);
-    std::vector<double> x_lu = ramp_rhs(n);
-    lu.solve(x_lu);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(x_ilu[i], x_lu[i], 1e-11) << "row " << i;
-    }
-}
-
-TEST(Bicgstab, SolvesLadderToTolerance)
-{
-    const std::size_t n = 200;
-    const Sparse_matrix m = ladder(n);
-    Ilu0 ilu(m);
-    ilu.factor(m);
-
-    const std::vector<double> b = ramp_rhs(n);
-    std::vector<double> x;
-    Bicgstab_scratch scratch;
-    const int iters = spice::bicgstab(m, ilu, b, x, 1e-12, 400, scratch);
-    ASSERT_GE(iters, 0) << "breakdown on a well-conditioned ladder";
-
-    // With the exact-on-tridiagonal preconditioner the first Krylov step
-    // already lands on the solution.
-    EXPECT_LE(iters, 3);
-
-    Sparse_lu lu(m);
-    lu.factor(m);
-    std::vector<double> x_ref = b;
-    lu.solve(x_ref);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(x[i], x_ref[i], 1e-9) << "row " << i;
-    }
-}
-
-TEST(Bicgstab, ZeroRhsReturnsZeroInZeroIterations)
-{
-    const Sparse_matrix m = ladder(16);
-    Ilu0 ilu(m);
-    ilu.factor(m);
-    std::vector<double> x(16, 7.0);  // stale content must be cleared
-    Bicgstab_scratch scratch;
-    const std::vector<double> b(16, 0.0);
-    EXPECT_EQ(spice::bicgstab(m, ilu, b, x, 1e-12, 50, scratch), 0);
-    for (const double v : x) EXPECT_EQ(v, 0.0);
-}
-
-/// A small SRAM read column: the nonlinear MOSFET workload the reuse
-/// tiers must reproduce, with Step_stats exposing which tier ran.
+/// A small SRAM read column: the nonlinear MOSFET workload bypass must
+/// reproduce, with Step_stats exposing which solver ran.
 struct Read_fixture {
     tech::Technology t = tech::n10();
     sram::Cell_electrical cell = sram::Cell_electrical::n10(t.feol);
@@ -155,36 +96,55 @@ struct Read_fixture {
         wires = sram::roll_up_nominal(ex, arr, t, cfg);
     }
 
-    sram::Read_result run(Solver_policy policy)
+    /// The read path's first-window transient under fast step control,
+    /// with the Newton solver pinned on the transient options.
+    sram::Read_result run(Newton_solver solver)
     {
         sram::Read_netlist net =
             sram::build_read_netlist(t, cell, wires, cfg);
-        sram::Read_options opts;
-        opts.accuracy = sram::Sim_accuracy::fast;
-        opts.solver = policy;
-        return sram::simulate_read(net, opts);
+        const sram::Read_options read;
+        const double t_ref = net.timing.wl_mid();
+        spice::Transient_options opts;
+        opts.tstop = t_ref + std::max(read.min_window,
+                                      read.window_per_cell *
+                                          static_cast<double>(cfg.word_lines));
+        opts.nominal_steps = read.nominal_steps;
+        opts.method = read.method;
+        opts.dc = net.dc;
+        sram::apply_sim_accuracy(opts, sram::Sim_accuracy::fast);
+        opts.newton.solver = solver;
+        const spice::Transient_result waves = spice::run_transient(
+            net.circuit, {net.bl_sense, net.blb_sense}, opts);
+
+        const std::string bl = net.circuit.node_name(net.bl_sense);
+        const std::string blb = net.circuit.node_name(net.blb_sense);
+        sram::Read_result r;
+        r.steps = waves.steps();
+        r.bl_final = waves.final_value(bl);
+        r.blb_final = waves.final_value(blb);
+        r.t_cross = spice::differential_time(waves, bl, blb,
+                                             net.sense_margin, t_ref);
+        r.crossed = r.t_cross >= 0.0;
+        r.td = r.t_cross - t_ref;
+        return r;
     }
 };
 
-TEST(SolverPolicy, ReuseTiersAgreeWithDirectOnReadColumn)
+TEST(SolverPolicy, BypassAgreesWithDirectOnReadColumn)
 {
     Read_fixture f(8);
-    const sram::Read_result direct = f.run(Solver_policy::direct);
+    const sram::Read_result direct = f.run(Newton_solver::direct);
     ASSERT_TRUE(direct.crossed);
-    for (const Solver_policy policy :
-         {Solver_policy::bypass, Solver_policy::iterative}) {
-        const sram::Read_result r = f.run(policy);
-        ASSERT_TRUE(r.crossed);
-        EXPECT_LE(util::rel_diff(direct.td, r.td), 5e-3)
-            << "policy " << static_cast<int>(policy);
-        EXPECT_LE(std::fabs(direct.bl_final - r.bl_final), 5e-3);
-    }
+    const sram::Read_result r = f.run(Newton_solver::bypass);
+    ASSERT_TRUE(r.crossed);
+    EXPECT_LE(util::rel_diff(direct.td, r.td), 5e-3);
+    EXPECT_LE(std::fabs(direct.bl_final - r.bl_final), 5e-3);
 }
 
 TEST(SolverPolicy, DirectCountersFactorEveryIteration)
 {
     Read_fixture f(8);
-    const sram::Read_result r = f.run(Solver_policy::direct);
+    const sram::Read_result r = f.run(Newton_solver::direct);
     ASSERT_GT(r.steps.newton_iterations, 0);
     EXPECT_EQ(r.steps.lu_factorizations, r.steps.newton_iterations);
     EXPECT_EQ(r.steps.bypass_hits, 0);
@@ -196,8 +156,8 @@ TEST(SolverPolicy, BypassCountersProveFactorizationsAvoided)
     // staleness envelope actually admits reuse (a tiny column spends
     // most steps moving, so the drift trigger keeps refreshing).
     Read_fixture f(64);
-    const sram::Read_result direct = f.run(Solver_policy::direct);
-    const sram::Read_result r = f.run(Solver_policy::bypass);
+    const sram::Read_result direct = f.run(Newton_solver::direct);
+    const sram::Read_result r = f.run(Newton_solver::bypass);
     ASSERT_GT(r.steps.newton_iterations, 0);
     // Every reuse-path iteration either refactors or bypasses — and the
     // point of the tier is factoring far less than the per-iteration
@@ -206,19 +166,6 @@ TEST(SolverPolicy, BypassCountersProveFactorizationsAvoided)
               r.steps.newton_iterations);
     EXPECT_GT(r.steps.bypass_hits, 0);
     EXPECT_LT(r.steps.lu_factorizations * 2, direct.steps.lu_factorizations);
-}
-
-TEST(SolverPolicy, IterativeCountersShowPreconditionerReuse)
-{
-    Read_fixture f(8);
-    const sram::Read_result r = f.run(Solver_policy::iterative);
-    ASSERT_GT(r.steps.newton_iterations, 0);
-    EXPECT_GT(r.steps.bypass_hits, 0);
-    // Breakdown fallbacks may add factorizations beyond the per-iteration
-    // refreshes, never remove them.
-    EXPECT_GE(r.steps.lu_factorizations + r.steps.bypass_hits,
-              r.steps.newton_iterations);
-    EXPECT_LT(r.steps.lu_factorizations, r.steps.newton_iterations);
 }
 
 TEST(SolverPolicy, LinearCircuitTiersMatchTightly)
@@ -240,15 +187,15 @@ TEST(SolverPolicy, LinearCircuitTiersMatchTightly)
     c.add_voltage_source("Vin", in, spice::ground_node,
                          spice::Waveform::pulse(0.0, 0.7, 20e-12, 5e-12));
 
-    auto run = [&](Solver_policy policy) {
+    auto run = [&](Newton_solver solver) {
         spice::Transient_options opts;
         opts.tstop = 500e-12;
         opts.nominal_steps = 500;
-        opts.newton.solver = policy;
+        opts.newton.solver = solver;
         return spice::run_transient(c, {prev}, opts);
     };
-    const auto direct = run(Solver_policy::direct);
-    const auto bypass = run(Solver_policy::bypass);
+    const auto direct = run(Newton_solver::direct);
+    const auto bypass = run(Newton_solver::bypass);
     const std::string probe = c.node_name(prev);
     EXPECT_NEAR(direct.final_value(probe), bypass.final_value(probe),
                 1e-9);

@@ -10,7 +10,7 @@
 //
 // Subcommands:
 //   emit  --metric M --options le3,sadp,euv --word-lines 16,24,32
-//         [--ol V] [--accuracy A] [--solver S] [--samples N] [--seed S]
+//         [--ol V] [--accuracy A] [--samples N] [--seed S]
 //         [--tdp-engine E] [--twp-engine E] [--out FILE]
 //       Compose a query and write its JSON (stdout by default).
 //   run   --query FILE --shard I --count K --out FILE [--threads N]
@@ -51,7 +51,6 @@
 #include "core/session.h"
 #include "core/shard.h"
 #include "sram/sim_accuracy.h"
-#include "sram/solver_policy.h"
 #include "util/atomic_file.h"
 #include "util/json.h"
 
@@ -179,8 +178,9 @@ int cmd_emit(const Args& args)
     if (const auto a = args.get("accuracy")) {
         query.accuracy = sram::parse_sim_accuracy(*a);
     }
-    if (const auto s = args.get("solver")) {
-        query.solver = sram::parse_solver_policy(*s);
+    if (args.has("solver")) {
+        usage("--solver is not supported: --accuracy picks the Newton "
+              "solver (reference: direct, fast: bypass)");
     }
     if (const auto n = args.get("samples")) {
         query.mc.samples = std::stoi(*n);
