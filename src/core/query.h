@@ -123,9 +123,11 @@ struct Query {
     Metric metric = Metric::read_td;
     std::vector<Query_case> cases;
 
-    /// Backend for the per-case fan-out.  Distribution-valued metrics
-    /// (mc_tdp, mc_twp) and worst_case_rc run their cases in plan order
-    /// and parallelize inside each case instead (sample loops on
+    /// Backend for the per-case fan-out: its thread count (the session
+    /// hands the longest-first case plan out one job at a time, so the
+    /// chunk is not used there).  Distribution-valued metrics (mc_tdp,
+    /// mc_twp) and worst_case_rc run their cases in case order and
+    /// parallelize inside each case instead (sample loops on
     /// `mc.runner`, corner enumerations on `runner`), so every case's
     /// result is independent of the sweep composition.
     Runner_options runner;

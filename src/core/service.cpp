@@ -263,7 +263,7 @@ std::string Query_service::busy_line(const std::string& line)
         .dump();
 }
 
-int Query_service::serve()
+int Query_service::serve(const std::function<void()>& on_listening)
 {
     struct Client {
         util::Socket sock;
@@ -271,6 +271,7 @@ int Query_service::serve()
     };
     util::Unix_listener listener(opts_.socket_path,
                                  static_cast<int>(opts_.max_clients));
+    if (on_listening) on_listening();
 
     std::map<std::uint64_t, Client> clients;
     std::uint64_t next_client = 0;
@@ -340,12 +341,21 @@ int Query_service::serve()
             Client& client = it->second;
             bool hung_up = false;
             bool broken = false;
-            while (auto n = client.sock.try_read(buf, sizeof buf)) {
-                if (*n == 0) {
-                    hung_up = true;
-                    break;
+            try {
+                while (auto n = client.sock.try_read(buf, sizeof buf)) {
+                    if (*n == 0) {
+                        hung_up = true;
+                        break;
+                    }
+                    client.lines.append(buf, *n);
                 }
-                client.lines.append(buf, *n);
+            } catch (const std::exception&) {
+                // A reset connection: AF_UNIX reports ECONNRESET to the
+                // daemon when a client closes with responses still
+                // unread.  Nobody is left to answer, so its lines are
+                // dropped with it — the client's loss, never the daemon's.
+                dead.push_back(cid);
+                continue;
             }
             while (auto line = client.lines.pop_line()) {
                 if (queue.size() >= opts_.max_pending) {

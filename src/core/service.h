@@ -115,6 +115,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <string>
@@ -195,8 +196,11 @@ public:
 
     /// Run the daemon loop on options().socket_path until a shutdown
     /// request completes its drain.  Returns 0 on graceful shutdown.
-    /// Protocol errors never exit the loop; socket-setup failures throw.
-    int serve();
+    /// Protocol errors and client I/O failures never exit the loop;
+    /// socket-setup failures throw.  `on_listening`, when set, is called
+    /// once the socket is bound and listening — the readiness signal
+    /// for whoever waits to connect.
+    int serve(const std::function<void()>& on_listening = {});
 
 private:
     util::Json error_json(std::string_view code, std::string_view message,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "analytic/td_formula.h"
 #include "analytic/tw_formula.h"
@@ -556,6 +557,22 @@ double Study_session::nominal_disturb_spice(
         });
 }
 
+double Study_session::worst_corner_spice(
+    std::string_view kind, const Query_case& c, sram::Sim_accuracy accuracy,
+    const std::function<double(const sram::Bitline_electrical&)>& simulate)
+    const
+{
+    // Every "use the technology default" request shares one memo slot,
+    // like the corner memo the wires come from.
+    const Corner_sim_key key{kind, c.option, c.word_lines,
+                             c.ol_3sigma < 0.0 ? -1.0 : c.ol_3sigma,
+                             accuracy};
+    return single_flight(corner_sim_mutex_, corner_sim_cache_, key, [&] {
+        worst_corner_simulations_.fetch_add(1, std::memory_order_relaxed);
+        return simulate(worst_case_wires(c));
+    });
+}
+
 analytic::Td_params Study_session::formula_params(int word_lines) const
 {
     return analytic::derive_params(tech_, cell_, nominal_wires(word_lines));
@@ -574,6 +591,27 @@ analytic::Tw_params Study_session::tw_formula_params(int word_lines) const
 /// can reach the memos without widening the public surface.
 struct Metric_evaluators {
     using Scratch = Study_session::Worker_scratch;
+
+    // The nominal transients the case-parallel metrics divide by; run()
+    // plans each distinct one as a job of its own.
+    static void nominal_read(const Study_session& s, const Query& q,
+                             int word_lines, Scratch& scratch)
+    {
+        s.nominal_td_spice(word_lines, s.read_accuracy(q), &scratch.read);
+    }
+
+    static void nominal_write(const Study_session& s, const Query& q,
+                              int word_lines, Scratch& scratch)
+    {
+        s.nominal_tw_spice(word_lines, s.write_accuracy(q), &scratch.write);
+    }
+
+    static void nominal_disturb(const Study_session& s, const Query& q,
+                                int word_lines, Scratch& scratch)
+    {
+        s.nominal_disturb_spice(word_lines, s.disturb_accuracy(q),
+                                &scratch.disturb);
+    }
 
     static Row_value worst_case_rc(const Study_session& s, const Query& q,
                                    const Query_case& c, Scratch&)
@@ -596,11 +634,17 @@ struct Metric_evaluators {
     static Row_value read_td(const Study_session& s, const Query& q,
                              const Query_case& c, Scratch& scratch)
     {
+        // Worst corner first, memoized nominal second: the nominal is its
+        // own plan job, so by now it is usually done — or runs here when
+        // this worker got to it first — rather than being awaited idle.
         const sram::Sim_accuracy acc = s.read_accuracy(q);
         Read_row row;
+        row.td_varied = s.worst_corner_spice(
+            "worst_td", c, acc, [&](const auto& wires) {
+                return s.simulate_td_on(wires, c.word_lines, acc,
+                                        scratch.read);
+            });
         row.td_nominal = s.nominal_td_spice(c.word_lines, acc, &scratch.read);
-        row.td_varied = s.simulate_td_on(s.worst_case_wires(c), c.word_lines,
-                                         acc, scratch.read);
         row.tdp_percent = (row.td_varied / row.td_nominal - 1.0) * 100.0;
         return row;
     }
@@ -621,7 +665,9 @@ struct Metric_evaluators {
                                     const Query_case& c, Scratch& scratch)
     {
         // One memoized search serves both the simulated read (worst-corner
-        // geometry) and the formula (R/C factors).
+        // geometry) and the formula (R/C factors); the read itself is the
+        // memoized read_td transient, so a session running both metrics
+        // simulates each worst-corner read once.
         const auto wc =
             s.worst_case_cached(c.option, c.word_lines, c.ol_3sigma, {});
         const Read_row read = std::get<Read_row>(read_td(s, q, c, scratch));
@@ -695,10 +741,13 @@ struct Metric_evaluators {
     {
         const sram::Sim_accuracy acc = s.write_accuracy(q);
         Write_row row;
+        row.tw_varied = s.worst_corner_spice(
+            "worst_tw", c, acc, [&](const auto& wires) {
+                return s.simulate_tw_on(wires, c.word_lines, acc,
+                                        scratch.write);
+            });
         row.tw_nominal =
             s.nominal_tw_spice(c.word_lines, acc, &scratch.write);
-        row.tw_varied = s.simulate_tw_on(s.worst_case_wires(c), c.word_lines,
-                                         acc, scratch.write);
         row.twp_percent = (row.tw_varied / row.tw_nominal - 1.0) * 100.0;
         return row;
     }
@@ -777,10 +826,13 @@ struct Metric_evaluators {
     {
         const sram::Sim_accuracy acc = s.disturb_accuracy(q);
         Disturb_row row;
+        row.v_bump_varied = s.worst_corner_spice(
+            "worst_disturb", c, acc, [&](const auto& wires) {
+                return s.simulate_disturb_on(wires, c.word_lines, acc,
+                                             scratch.disturb);
+            });
         row.v_bump_nominal =
             s.nominal_disturb_spice(c.word_lines, acc, &scratch.disturb);
-        row.v_bump_varied = s.simulate_disturb_on(
-            s.worst_case_wires(c), c.word_lines, acc, scratch.disturb);
         row.disturb_percent =
             (row.v_bump_varied / row.v_bump_nominal - 1.0) * 100.0;
         return row;
@@ -791,17 +843,20 @@ const Metric_descriptor& metric_descriptor(Metric metric)
 {
     // Index == static_cast<int>(Metric).  worst_case_rc and the MC
     // metrics run their cases serially (parallelism lives inside each
-    // case); everything else fans cases out on the query runner.
+    // case); everything else fans cases out on the query runner.  The
+    // worst-corner metrics name the nominal they divide by; the nominal
+    // metrics' cases ARE that transient, so they plan no separate job.
+    using E = Metric_evaluators;
     static const std::array<Metric_descriptor, 9> registry{{
-        {"worst_case_rc", true, &Metric_evaluators::worst_case_rc},
-        {"read_td", false, &Metric_evaluators::read_td},
-        {"nominal_td", false, &Metric_evaluators::nominal_td},
-        {"worst_case_tdp", false, &Metric_evaluators::worst_case_tdp},
-        {"mc_tdp", true, &Metric_evaluators::mc_tdp},
-        {"write_tw", false, &Metric_evaluators::write_tw},
-        {"nominal_tw", false, &Metric_evaluators::nominal_tw},
-        {"mc_twp", true, &Metric_evaluators::mc_twp},
-        {"disturb", false, &Metric_evaluators::disturb},
+        {"worst_case_rc", true, &E::worst_case_rc, nullptr},
+        {"read_td", false, &E::read_td, &E::nominal_read},
+        {"nominal_td", false, &E::nominal_td, nullptr},
+        {"worst_case_tdp", false, &E::worst_case_tdp, &E::nominal_read},
+        {"mc_tdp", true, &E::mc_tdp, nullptr},
+        {"write_tw", false, &E::write_tw, &E::nominal_write},
+        {"nominal_tw", false, &E::nominal_tw, nullptr},
+        {"mc_twp", true, &E::mc_twp, nullptr},
+        {"disturb", false, &E::disturb, &E::nominal_disturb},
     }};
     const auto index = static_cast<std::size_t>(metric);
     util::expects(index < registry.size(), "unknown metric");
@@ -844,29 +899,71 @@ Result_table Study_session::run(const Query& query) const
         }
     }
 
-    // Serial-case metrics keep their per-case results independent of the
-    // sweep composition (and of query.runner): the plan runs in order on
-    // the calling thread while each case parallelizes internally.
-    const Runner_options fan_out =
-        d.serial_cases ? Runner_options{1} : query.runner;
+    // The plan: one job per case, plus — for a case-parallel metric that
+    // names a nominal — one job per distinct nominal word-line count.
+    // Case-parallel plans run longest first (descending word lines, the
+    // nominal ahead of its cases on ties, then case order): a total order
+    // on plan data alone, so the schedule never depends on completion
+    // order, and the long n=1024 columns start before the short ones
+    // instead of trailing them.  Serial-case metrics keep case order on
+    // the calling thread, so each case's result stays independent of the
+    // sweep composition (and of query.runner) while it parallelizes
+    // internally.
+    struct Plan_job {
+        int word_lines = 0;
+        bool nominal = false;
+        std::size_t case_index = 0;  ///< the row it writes (case jobs)
+    };
+    std::vector<Plan_job> jobs;
+    jobs.reserve(cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        jobs.push_back({cases[i].word_lines, false, i});
+    }
+    Runner_options fan_out{1};
+    if (!d.serial_cases) {
+        if (d.nominal != nullptr) {
+            std::vector<int> lengths;
+            for (const Query_case& c : cases) lengths.push_back(c.word_lines);
+            std::sort(lengths.begin(), lengths.end());
+            lengths.erase(std::unique(lengths.begin(), lengths.end()),
+                          lengths.end());
+            for (const int n : lengths) jobs.push_back({n, true, 0});
+        }
+        std::sort(jobs.begin(), jobs.end(),
+                  [](const Plan_job& a, const Plan_job& b) {
+                      return std::tuple(-a.word_lines, !a.nominal,
+                                        a.case_index) <
+                             std::tuple(-b.word_lines, !b.nominal,
+                                        b.case_index);
+                  });
+        // Chunk 1: with the longest jobs at the front, the auto chunk
+        // would hand the two longest to one worker.
+        fan_out = Runner_options{query.runner.threads, 1};
+    }
 
     std::vector<Row_value> rows(cases.size());
     std::vector<Worker_scratch> scratch(
         static_cast<std::size_t>(fan_out.resolved_threads()));
 
-    Run_plan plan;
-    plan.add_indexed(cases.size(), [&](std::size_t i,
-                                       const Run_context& ctx) {
-        // Write-own-slot + plan-order contract: row i belongs to case i,
-        // and the plan index IS the case index (the reduction into the
-        // Result_table relies on that ordering, not on completion order).
-        const std::size_t slot = checked_slot(ctx, rows.size());
-        MPSRAM_ASSERT(slot == i, "plan order out of sync with case order",
-                      MPSRAM_VAL(slot), MPSRAM_VAL(i));
-        rows[slot] = d.eval(*this, query, cases[i],
-                            scratch[checked_worker(ctx, scratch.size())]);
-    });
-    core::run(plan, fan_out);
+    run_indexed(jobs.size(), [&](std::size_t, const Run_context& ctx) {
+        Worker_scratch& ws = scratch[checked_worker(ctx, scratch.size())];
+        const Plan_job& job = jobs[checked_slot(ctx, jobs.size())];
+        if (job.nominal) {
+            d.nominal(*this, query, job.word_lines, ws);
+            return;
+        }
+        // Write-own-slot contract, keyed by case: the plan index is not
+        // the case index, so the job carries its row, and the reduction
+        // into the Result_table relies on case order, never on plan or
+        // completion order.
+        const std::size_t slot = job.case_index;
+        MPSRAM_REQUIRE(slot < rows.size(), "plan job's case slot out of range",
+                       MPSRAM_VAL(slot), MPSRAM_VAL(rows.size()));
+        MPSRAM_ASSERT(cases[slot].word_lines == job.word_lines,
+                      "plan job out of sync with its case", MPSRAM_VAL(slot),
+                      MPSRAM_VAL(job.word_lines));
+        rows[slot] = d.eval(*this, query, cases[slot], ws);
+    }, fan_out);
 
     Result_table table(query.metric, std::move(cases), std::move(rows));
     if (cache_) cache_->store("query", disk_key, json_of_result_table(table));

@@ -10,18 +10,20 @@
 //
 // run() executes ANY metric through one generic fan-out: normalize the
 // query's cases, allocate one Worker_scratch (read/write/disturb
-// simulation contexts) per worker, put one case per job on a Run_plan,
-// and dispatch each job to the metric's registered evaluator.  The
+// simulation contexts) per worker, plan the jobs — one per case, plus
+// one per distinct nominal transient the cases divide by — and dispatch
+// each case job to the metric's registered evaluator.  The
 // registry (session.cpp) is the extension seam: a new workload registers
-// a Metric_descriptor — its context traits, nominal memo, and measurement
+// a Metric_descriptor — its context traits, nominal, and measurement
 // functor — and inherits batching, memoization, accuracy policy, and the
 // determinism contract without touching this class.  The half-select
 // disturb metric is exactly such a registration.
 //
-// Determinism contract (unchanged from the legacy batch APIs): one job
-// per case, each writing only its own row; randomized metrics derive
-// their streams from sample indices; results are bitwise identical at
-// any thread count.
+// Determinism contract (unchanged from the legacy batch APIs): nominal
+// jobs fill memos only; each case job writes only its own row, keyed by
+// case index (never by plan index or completion order); randomized
+// metrics derive their streams from sample indices; results are bitwise
+// identical at any thread count.
 #ifndef MPSRAM_CORE_SESSION_H
 #define MPSRAM_CORE_SESSION_H
 
@@ -93,12 +95,22 @@ public:
     /// bitwise identical at any `query.runner` thread count.  Cases with
     /// word_lines <= 0 resolve to `options().array.word_lines`.
     ///
+    /// Case-parallel metrics plan one job per distinct nominal word-line
+    /// count (when the metric names a nominal) plus one per case, ordered
+    /// longest first — descending word lines, the nominal ahead of its
+    /// cases on ties — and hand them out one at a time on `query.runner`
+    /// (its thread count; the chunk is fixed at 1).  A case runs its
+    /// worst-corner transient before it reads the memoized nominal, which
+    /// started no later, so a worker does not sit idle behind a nominal
+    /// another worker has in flight while it has a transient of its own
+    /// to run.
+    ///
     /// Safe for concurrent callers on one shared session — this is the
     /// entry point the query service daemon (core/service.h) multiplexes
-    /// clients onto.  The shared state is either promise-backed (corner
-    /// and surface memos: one compute per key, concurrent callers wait)
-    /// or mutex-guarded (nominal memos), and the on-disk cache is atomic;
-    /// every caller receives the same bitwise-identical rows.
+    /// clients onto.  The four memos (corner search, nominal transient,
+    /// worst-corner transient, surface fit) are promise-backed — one
+    /// compute per key, concurrent callers wait — and the on-disk cache
+    /// is atomic; every caller receives the same bitwise-identical rows.
     Result_table run(const Query& query) const;
 
     /// Queries executed through run() since construction (memoized or
@@ -157,6 +169,16 @@ public:
     std::size_t nominal_simulation_count() const
     {
         return nominal_simulations_.load(std::memory_order_relaxed);
+    }
+
+    /// Worst-corner SPICE transients (read, write and disturb) actually
+    /// run since construction.  Memoized in memory only — the query-level
+    /// disk cache covers reruns across processes — on (kind, option,
+    /// word_lines, ol_3sigma, accuracy), single-flight like the nominal
+    /// memo: `read_td` and `worst_case_tdp` share each case's read.
+    std::size_t worst_corner_simulation_count() const
+    {
+        return worst_corner_simulations_.load(std::memory_order_relaxed);
     }
 
     /// Calibrated surrogate surfaces of a distribution metric (`mc_tdp`
@@ -300,6 +322,16 @@ private:
     /// rollup of the realized geometry).
     sram::Bitline_electrical worst_case_wires(const Query_case& c) const;
 
+    /// The worst-corner memo entry of a case (`kind` names the transient,
+    /// e.g. "worst_td"): memo, then `simulate` on the case's worst-corner
+    /// wires — exactly once per key (promise-backed; a throwing simulate
+    /// un-publishes its slot).
+    double worst_corner_spice(
+        std::string_view kind, const Query_case& c,
+        sram::Sim_accuracy accuracy,
+        const std::function<double(const sram::Bitline_electrical&)>&
+            simulate) const;
+
     /// The worst-case memo entry for a key, computing it (exactly once,
     /// promise-backed) on a miss.
     std::shared_ptr<const mc::Worst_case_result> worst_case_cached(
@@ -368,6 +400,17 @@ private:
     mutable std::map<Surface_key, Surface_entry> surface_cache_;
     mutable std::atomic<std::size_t> surface_fits_{0};
 
+    // Worst-corner transient memo: (kind, option, word_lines, ol_3sigma
+    // normalized to -1, accuracy) -> shared future of the measured value,
+    // same single-flight shape as the nominal memo.
+    using Corner_sim_key = std::tuple<std::string_view,
+                                      tech::Patterning_option, int, double,
+                                      sram::Sim_accuracy>;
+    mutable std::mutex corner_sim_mutex_;
+    mutable std::map<Corner_sim_key, std::shared_future<double>>
+        corner_sim_cache_;
+    mutable std::atomic<std::size_t> worst_corner_simulations_{0};
+
     /// run() invocations (query_run_count above).
     mutable std::atomic<std::size_t> query_runs_{0};
 };
@@ -377,13 +420,22 @@ private:
 /// worker's scratch contexts; it must not depend on worker assignment.
 struct Metric_descriptor {
     std::string_view name;
-    /// Case loop runs in plan order on one thread; the metric
+    /// Case loop runs in case order on one thread; the metric
     /// parallelizes inside each case instead (MC sample loops, corner
     /// enumerations).  Keeps every case's result independent of the
     /// sweep composition.
     bool serial_cases = false;
     Row_value (*eval)(const Study_session&, const Query&, const Query_case&,
                       Study_session::Worker_scratch&) = nullptr;
+    /// The nominal transient the metric's rows divide by (fills its
+    /// session memo at a word-line count), or null when there is none to
+    /// overlap with — the nominal metrics' cases ARE that transient.
+    /// run() plans it as its own job per distinct word-line count of a
+    /// case-parallel query, so it runs beside the cases' worst-corner
+    /// transients instead of behind them; `eval` must measure the worst
+    /// corner before it reads this memo.
+    void (*nominal)(const Study_session&, const Query&, int word_lines,
+                    Study_session::Worker_scratch&) = nullptr;
 };
 
 /// The descriptor registered for a metric (the extension seam: new

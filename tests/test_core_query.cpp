@@ -4,7 +4,9 @@
 // and Result_table's typed access must round-trip.
 #include "core/query.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <variant>
 
@@ -313,6 +315,134 @@ TEST(QueryNominalMemo, WriteTwSimulatesEachNominalExactlyOnce)
     // Repeats are memo hits.
     session.run(q.on(core::Runner_options{4}));
     EXPECT_EQ(session.nominal_simulation_count(), sizes.size());
+}
+
+// --- the worst-corner transient memo and the longest-first plan -------------
+
+core::Study_options uncached_options()
+{
+    core::Study_options opts;
+    opts.cache.mode = core::Cache_mode::off;
+    return opts;
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(QueryVariedMemo, PaperQuerySetRunsEachTransientOnce)
+{
+    // The paper's query set (Tables I-III, Fig. 4, the write and disturb
+    // extensions) on one fresh uncached session at 4 threads: every
+    // distinct SPICE transient runs once.  read_td and worst_case_tdp
+    // share their 12 worst-corner reads; the nominal reads are shared by
+    // nominal_td, read_td and worst_case_tdp.
+    using P = tech::Patterning_option;
+    const core::Runner_options runner{4};
+    const std::vector<int> n4 = {16, 64, 256, 1024};
+    const std::vector<int> n3 = {16, 64, 256};
+    Query read(Metric::read_td);
+    Query tdp(Metric::worst_case_tdp);
+    Query write(Metric::write_tw);
+    for (const P option : tech::all_patterning_options) {
+        read.over_word_lines(option, n4);
+        tdp.over_word_lines(option, n4);
+        write.over_word_lines(option, n3);
+    }
+
+    const core::Study_session session(tech::n10(), uncached_options());
+    session.run(Query(Metric::worst_case_rc)
+                    .over_options(tech::all_patterning_options, 64)
+                    .on(runner));
+    session.run(Query(Metric::nominal_td).over_word_lines(P::euv, n4).on(
+        runner));
+    const auto reads = session.run(Query(read).on(runner));
+    const auto tdps = session.run(Query(tdp).on(runner));
+    session.run(Query(write).on(runner));
+    session.run(Query(Metric::disturb).over_word_lines(P::le3, n3).on(
+        runner));
+
+    // 4 nominal reads + 3 nominal writes + 3 nominal disturbs; 12 + 9 + 3
+    // worst-corner transients; one corner search per (option, n).
+    EXPECT_EQ(session.nominal_simulation_count(), 10u);
+    EXPECT_EQ(session.worst_corner_simulation_count(), 24u);
+    EXPECT_EQ(session.corner_search_count(), 12u);
+
+    ASSERT_EQ(reads.size(), tdps.size());
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        EXPECT_EQ(bits_of(tdps.as<core::Tdp_row>(i).tdp_simulation),
+                  bits_of(reads.as<core::Read_row>(i).tdp_percent))
+            << "case " << i;
+    }
+
+    // The shared memo changes no byte: worst_case_tdp alone, on a fresh
+    // session, produces the same rows.
+    const core::Study_session alone(tech::n10(), uncached_options());
+    EXPECT_EQ(alone.run(Query(tdp).on(runner)), tdps);
+}
+
+TEST(QueryVariedMemo, PlanRowsBitwiseIdenticalAtAnyThreadCount)
+{
+    // Nominal jobs plus case jobs, longest first, on fresh sessions: the
+    // rows are keyed by case, so every thread count reproduces the
+    // serial tables exactly.
+    const std::vector<int> sizes = {16, 64, 256};
+    std::vector<Query> queries;
+    for (const Metric m : {Metric::read_td, Metric::write_tw,
+                           Metric::disturb, Metric::worst_case_tdp}) {
+        Query q(m);
+        for (const auto option : tech::all_patterning_options) {
+            q.over_word_lines(option, sizes);
+        }
+        queries.push_back(q);
+    }
+
+    std::vector<core::Result_table> serial;
+    for (const int threads : {1, 2, 4, 8}) {
+        const core::Study_session session(tech::n10(), uncached_options());
+        for (std::size_t k = 0; k < queries.size(); ++k) {
+            const auto table =
+                session.run(Query(queries[k]).on(core::Runner_options{
+                    threads}));
+            ASSERT_EQ(table.size(), queries[k].cases.size());
+            if (threads == 1) {
+                serial.push_back(table);
+            } else {
+                EXPECT_EQ(table, serial[k])
+                    << to_string(queries[k].metric) << " threads="
+                    << threads;
+            }
+        }
+        // worst_case_tdp reused every read of read_td.
+        EXPECT_EQ(session.worst_corner_simulation_count(),
+                  3 * 3 * sizes.size());
+    }
+}
+
+TEST(QueryVariedMemo, FailedWorstCornerThrowsAndUnpublishes)
+{
+    // A read window that the nominal read crosses but the slower
+    // worst-corner read does not: the worst-corner transient fails its
+    // postcondition while the nominal job succeeds.
+    const Query q = Query(Metric::read_td)
+                        .with_case({tech::Patterning_option::le3, 64})
+                        .on(core::Runner_options{2});
+    const auto probe =
+        core::Study_session(tech::n10(), uncached_options()).run(q);
+    const auto& row = probe.as<core::Read_row>(0);
+    ASSERT_GT(row.td_varied, 1.02 * row.td_nominal);
+
+    core::Study_options opts = uncached_options();
+    opts.read.min_window = 0.5 * (row.td_nominal + row.td_varied);
+    opts.read.window_per_cell = 0.0;
+    opts.read.max_retries = 0;
+    const core::Study_session session(tech::n10(), opts);
+
+    EXPECT_THROW(session.run(q), util::Postcondition_error);
+    EXPECT_EQ(session.worst_corner_simulation_count(), 1u);
+    // The failed transient must un-publish its memo slot: the retry
+    // simulates again (and throws again) instead of serving the stored
+    // exception without recomputing.
+    EXPECT_THROW(session.run(q), util::Postcondition_error);
+    EXPECT_EQ(session.worst_corner_simulation_count(), 2u);
 }
 
 // --- accuracy override -------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -334,22 +335,77 @@ TEST(UtilSocket, ListenerReclaimsAStaleSocketFile)
 // --- daemon loop (forked server) ---------------------------------------------
 
 /// Forked mpsram-serve-alike: runs Query_service::serve() over a fresh
-/// uncached session in a child process; the destructor reaps it (SIGKILL
-/// only if a test failed before the graceful shutdown).
+/// uncached session in a child process.  The child signals readiness
+/// over a pipe — one byte once the listener is bound — so tests connect
+/// only to a live socket instead of retrying blind; the destructor reaps
+/// the child (SIGKILL only if a test failed before the graceful
+/// shutdown).
 struct Server {
     explicit Server(const core::Service_options& opts)
     {
         std::filesystem::remove(opts.socket_path);
+        int fds[2] = {-1, -1};
+        if (::pipe(fds) != 0) return;
         pid = ::fork();
         if (pid == 0) {
+            ::close(fds[0]);
             try {
                 const core::Study_session session(tech::n10(), uncached());
                 core::Query_service service(session, opts);
-                std::_Exit(service.serve());
+                std::_Exit(service.serve([&] {
+                    const char byte = 1;
+                    if (::write(fds[1], &byte, 1) != 1) std::_Exit(4);
+                }));
             } catch (...) {
                 std::_Exit(3);
             }
         }
+        ::close(fds[1]);
+        ready_fd = fds[0];
+    }
+
+    /// Wait up to 5 s for the readiness byte.  On failure the message
+    /// says whether the child is still running (it never bound) or how
+    /// it ended: pipe EOF without the byte means it exited first.
+    testing::AssertionResult ready()
+    {
+        if (pid <= 0) {
+            return testing::AssertionFailure() << "pipe or fork failed";
+        }
+        char byte = 0;
+        if (util::poll_readable(ready_fd, 5000)) {
+            if (::read(ready_fd, &byte, 1) == 1) {
+                return testing::AssertionSuccess();
+            }
+            return testing::AssertionFailure()
+                   << "daemon exited before binding: " << state(5000);
+        }
+        return testing::AssertionFailure()
+               << "daemon not bound after 5 s: " << state(0);
+    }
+
+    /// "alive", or how the child ended (reaping it).  Waits up to
+    /// `wait_ms` for a child that may be on its way out.
+    std::string state(int wait_ms)
+    {
+        if (pid <= 0) return "already reaped";
+        int status = 0;
+        pid_t r = 0;
+        for (int waited = 0;; waited += 10) {
+            r = ::waitpid(pid, &status, WNOHANG);
+            if (r != 0 || waited >= wait_ms) break;
+            ::usleep(10 * 1000);
+        }
+        if (r == 0) return "alive";
+        if (r < 0) return "waitpid failed";
+        pid = -1;
+        if (WIFEXITED(status)) {
+            return "exited with status " + std::to_string(WEXITSTATUS(status));
+        }
+        if (WIFSIGNALED(status)) {
+            return "killed by signal " + std::to_string(WTERMSIG(status));
+        }
+        return "ended";
     }
 
     /// Wait for the daemon to exit and return its status (-1 on reap
@@ -364,6 +420,7 @@ struct Server {
 
     ~Server()
     {
+        if (ready_fd >= 0) ::close(ready_fd);
         if (pid > 0) {
             ::kill(pid, SIGKILL);
             int status = 0;
@@ -372,20 +429,8 @@ struct Server {
     }
 
     pid_t pid = -1;
+    int ready_fd = -1;
 };
-
-/// Connect, retrying until the forked server has bound its socket.
-util::Socket connect_with_retry(const std::string& path)
-{
-    for (int attempt = 0;; ++attempt) {
-        try {
-            return util::Socket::connect_unix(path);
-        } catch (const std::exception&) {
-            if (attempt > 100) throw;
-            ::usleep(50 * 1000);
-        }
-    }
-}
 
 /// Send `lines` in ONE syscall (AF_UNIX delivers a small write
 /// contiguously, so the server admits the whole pipeline in one read
@@ -406,7 +451,12 @@ std::vector<std::string> exchange(util::Socket& sock,
             responses.push_back(std::move(*line));
             continue;
         }
-        const auto n = sock.read_some(buf, sizeof buf, 60000);
+        std::optional<std::size_t> n;
+        try {
+            n = sock.read_some(buf, sizeof buf, 60000);
+        } catch (const std::exception&) {
+            break;  // connection reset: the daemon died
+        }
         if (!n || *n == 0) break;  // timeout or daemon gone
         buffer.append(buf, *n);
     }
@@ -420,8 +470,7 @@ TEST(CoreServiceDaemon, ConcurrentClientsReceiveIdenticalTables)
     opts.socket_path = socket_path;
     opts.poll_interval_ms = 10;
     Server server(opts);
-    ASSERT_GT(server.pid, 0);
-    connect_with_retry(socket_path);  // wait for the bind, then drop
+    ASSERT_TRUE(server.ready());
 
     const core::Query query = small_query();
     const core::Study_session local(tech::n10(), uncached());
@@ -436,7 +485,7 @@ TEST(CoreServiceDaemon, ConcurrentClientsReceiveIdenticalTables)
     core::run_indexed(
         clients,
         [&](std::size_t i, const core::Run_context&) {
-            util::Socket sock = connect_with_retry(socket_path);
+            util::Socket sock = util::Socket::connect_unix(socket_path);
             const auto responses =
                 exchange(sock, {query_line(query, i)}, 1);
             if (responses.size() == 1) results[i] = responses[0];
@@ -451,7 +500,7 @@ TEST(CoreServiceDaemon, ConcurrentClientsReceiveIdenticalTables)
             << "client " << i;
     }
 
-    util::Socket admin = connect_with_retry(socket_path);
+    util::Socket admin = util::Socket::connect_unix(socket_path);
     exchange(admin, {op_line("shutdown")}, 1);
     EXPECT_EQ(server.wait(), 0);
     EXPECT_FALSE(std::filesystem::exists(socket_path));
@@ -465,14 +514,14 @@ TEST(CoreServiceDaemon, QueueOverflowGetsBusyNotAHang)
     opts.max_pending = 1;
     opts.poll_interval_ms = 10;
     Server server(opts);
-    ASSERT_GT(server.pid, 0);
+    ASSERT_TRUE(server.ready());
 
     // Three pipelined requests against a queue of one: the first is
     // admitted, the other two are rejected immediately with `busy`
     // (emitted at admission time, so they arrive before the executed
     // request's response).
     const core::Query query = small_query();
-    util::Socket sock = connect_with_retry(socket_path);
+    util::Socket sock = util::Socket::connect_unix(socket_path);
     const auto responses = exchange(sock,
                                     {query_line(query, 1),
                                      query_line(query, 2),
@@ -504,13 +553,13 @@ TEST(CoreServiceDaemon, ShutdownDrainsAdmittedRequests)
     opts.socket_path = socket_path;
     opts.poll_interval_ms = 10;
     Server server(opts);
-    ASSERT_GT(server.pid, 0);
+    ASSERT_TRUE(server.ready());
 
     // query / shutdown / query pipelined in one write: ALL THREE were
     // admitted before the shutdown executes, so all three get answered
     // (the drain), then the daemon exits 0 and unlinks its socket.
     const core::Query query = small_query();
-    util::Socket sock = connect_with_retry(socket_path);
+    util::Socket sock = util::Socket::connect_unix(socket_path);
     const auto responses = exchange(sock,
                                     {query_line(query, 1),
                                      op_line("shutdown"),
@@ -540,11 +589,11 @@ TEST(CoreServiceDaemon, OversizedLineIsRejectedAndDisconnected)
     opts.max_line_bytes = 1024;
     opts.poll_interval_ms = 10;
     Server server(opts);
-    ASSERT_GT(server.pid, 0);
+    ASSERT_TRUE(server.ready());
 
     // 4 KiB with no terminator can never become a request; the bounded
     // line buffer rejects it instead of growing forever.
-    util::Socket sock = connect_with_retry(socket_path);
+    util::Socket sock = util::Socket::connect_unix(socket_path);
     sock.write_all(std::string(4096, 'x'), 10000);
 
     util::Line_buffer buffer;
@@ -568,7 +617,7 @@ TEST(CoreServiceDaemon, OversizedLineIsRejectedAndDisconnected)
     ASSERT_TRUE(n.has_value());
     EXPECT_EQ(*n, 0u);
 
-    util::Socket admin = connect_with_retry(socket_path);
+    util::Socket admin = util::Socket::connect_unix(socket_path);
     exchange(admin, {op_line("shutdown")}, 1);
     EXPECT_EQ(server.wait(), 0);
 }
@@ -580,13 +629,13 @@ TEST(CoreServiceDaemon, HalfClosedClientStillGetsItsAnswers)
     opts.socket_path = socket_path;
     opts.poll_interval_ms = 10;
     Server server(opts);
-    ASSERT_GT(server.pid, 0);
+    ASSERT_TRUE(server.ready());
 
     // Pipeline two requests, then half-close: the daemon sees the EOF
     // with (or after) the request bytes, but must answer everything the
     // connection admitted before reaping it.
     const core::Query query = small_query();
-    util::Socket sock = connect_with_retry(socket_path);
+    util::Socket sock = util::Socket::connect_unix(socket_path);
     sock.write_all(query_line(query, 1) + "\n" + query_line(query, 2) +
                        "\n",
                    10000);
@@ -610,7 +659,7 @@ TEST(CoreServiceDaemon, HalfClosedClientStillGetsItsAnswers)
             << response;
     }
 
-    util::Socket admin = connect_with_retry(socket_path);
+    util::Socket admin = util::Socket::connect_unix(socket_path);
     exchange(admin, {op_line("shutdown")}, 1);
     EXPECT_EQ(server.wait(), 0);
 }
@@ -623,13 +672,13 @@ TEST(CoreServiceDaemon, VanishingBusyClientDoesNotKillTheDaemon)
     opts.max_pending = 1;
     opts.poll_interval_ms = 10;
     Server server(opts);
-    ASSERT_GT(server.pid, 0);
+    ASSERT_TRUE(server.ready());
 
     // Overflow the queue, then vanish without reading a byte: the busy
     // rejections hit a dead connection mid-drain (the use-after-free
     // regression scenario — the daemon must survive the failed sends).
     {
-        util::Socket burst = connect_with_retry(socket_path);
+        util::Socket burst = util::Socket::connect_unix(socket_path);
         std::string lines;
         for (int i = 0; i < 32; ++i) {
             lines += query_line(small_query(), i) + "\n";
@@ -640,11 +689,12 @@ TEST(CoreServiceDaemon, VanishingBusyClientDoesNotKillTheDaemon)
     // The daemon is still alive and answering.  `busy` is admission-time
     // backpressure, so a status racing the burst's drain may transiently
     // be rejected too — retry until an answer lands.
-    util::Socket admin = connect_with_retry(socket_path);
+    util::Socket admin = util::Socket::connect_unix(socket_path);
     util::Json status;
     for (int attempt = 0;; ++attempt) {
         const auto responses = exchange(admin, {op_line("status")}, 1);
-        ASSERT_EQ(responses.size(), 1u) << "daemon stopped answering";
+        ASSERT_EQ(responses.size(), 1u)
+            << "daemon stopped answering: " << server.state(1000);
         status = util::Json::parse(responses[0]);
         if (status.at("ok").as_bool()) break;
         ASSERT_EQ(status.at("error").at("code").as_string(), "busy")
@@ -653,6 +703,37 @@ TEST(CoreServiceDaemon, VanishingBusyClientDoesNotKillTheDaemon)
         ::usleep(10 * 1000);
     }
     EXPECT_GE(status.at("status").at("busy").as_u64(), 1u);
+
+    exchange(admin, {op_line("shutdown")}, 1);
+    EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(CoreServiceDaemon, ClientClosingOnUnreadAnswersDoesNotKillTheDaemon)
+{
+    // The reset half of the vanishing-client race, made deterministic: a
+    // client that closes while the daemon's answers sit unread in its
+    // receive queue leaves the daemon's end with ECONNRESET on its next
+    // read.  That must cost the client its connection, not the daemon
+    // its life.
+    const std::string socket_path = "service_test_reset.sock";
+    core::Service_options opts;
+    opts.socket_path = socket_path;
+    opts.poll_interval_ms = 10;
+    Server server(opts);
+    ASSERT_TRUE(server.ready());
+
+    {
+        util::Socket client = util::Socket::connect_unix(socket_path);
+        client.write_all(op_line("status") + "\n", 10000);
+        // The answer has arrived; close without reading it.
+        ASSERT_TRUE(util::poll_readable(client.fd(), 60000));
+    }
+
+    util::Socket admin = util::Socket::connect_unix(socket_path);
+    const auto responses = exchange(admin, {op_line("status")}, 1);
+    ASSERT_EQ(responses.size(), 1u)
+        << "daemon stopped answering: " << server.state(1000);
+    EXPECT_TRUE(util::Json::parse(responses[0]).at("ok").as_bool());
 
     exchange(admin, {op_line("shutdown")}, 1);
     EXPECT_EQ(server.wait(), 0);

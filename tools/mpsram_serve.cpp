@@ -108,10 +108,11 @@ int main(int argc, char** argv)
 
         const core::Study_session session;
         core::Query_service service(session, opts);
-        std::cerr << "mpsram_serve: listening on " << opts.socket_path
-                  << " (cache " << core::to_string(session.cache_mode())
-                  << ")\n";
-        const int status = service.serve();
+        const int status = service.serve([&] {
+            std::cerr << "mpsram_serve: listening on " << opts.socket_path
+                      << " (cache " << core::to_string(session.cache_mode())
+                      << ")\n";
+        });
         std::cerr << "mpsram_serve: graceful shutdown after "
                   << service.stats().requests << " requests ("
                   << service.stats().queries << " queries, "
