@@ -169,28 +169,33 @@ Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
         pregen = lhs_samples(engine, rng, opts);
     }
 
-    // Per-worker geometry scratch: realize_into overwrites one buffer per
+    // Per-worker scratch: realize_into overwrites one geometry buffer per
     // worker instead of allocating a Wire_array (nets, colors, strings)
-    // for every sample.  Worker assignment never reaches the results, so
-    // the determinism contract is untouched.
-    std::vector<geom::Wire_array> scratch(
-        static_cast<std::size_t>(opts.runner.resolved_threads()));
+    // for every sample, and sample_gaussian_into one process sample.
+    // Worker assignment never reaches the results, so the determinism
+    // contract is untouched.
+    const auto workers =
+        static_cast<std::size_t>(opts.runner.resolved_threads());
+    std::vector<geom::Wire_array> scratch(workers);
+    std::vector<pattern::Process_sample> sample_scratch(workers);
 
     return accumulate_distribution(
         [&](std::size_t i, const core::Run_context& ctx) {
             // Substream contract: sample i draws from (base_seed, i) and
             // nothing else, so i must stay inside the experiment.
             MPSRAM_REQUIRE_INDEX(i, static_cast<std::size_t>(opts.samples));
-            pattern::Process_sample s;
+            const std::size_t worker = core::checked_worker(ctx, workers);
+            const pattern::Process_sample* s = nullptr;
             if (opts.sampling == Sampling::latin_hypercube) {
-                s = pregen[i];
+                s = &pregen[i];
             } else {
+                pattern::Process_sample& own = sample_scratch[worker];
                 util::Rng rng = util::Rng::stream(base_seed, i);
-                s = engine.sample_gaussian(rng, opts.truncate_k);
+                engine.sample_gaussian_into(rng, opts.truncate_k, own);
+                s = &own;
             }
-            geom::Wire_array& realized =
-                scratch[core::checked_worker(ctx, scratch.size())];
-            engine.realize_into(nominal, s, realized);
+            geom::Wire_array& realized = scratch[worker];
+            engine.realize_into(nominal, *s, realized);
             const extract::Rc_variation v =
                 extractor.variation(nominal, realized, victim);
             return Sample_values{metric(realized, v, ctx), v.r_factor,

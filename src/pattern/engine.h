@@ -72,6 +72,12 @@ public:
     Process_sample sample_gaussian(util::Rng& rng,
                                    double truncate_k = 4.0) const;
 
+    /// sample_gaussian() into caller-owned storage: `out` is overwritten
+    /// with the same draws, reusing its capacity (the per-worker scratch
+    /// of the Monte-Carlo hot loops).
+    void sample_gaussian_into(util::Rng& rng, double truncate_k,
+                              Process_sample& out) const;
+
 protected:
     Patterning_engine() = default;
 

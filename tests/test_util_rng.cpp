@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 
 namespace {
 
+using mpsram::util::Mt19937_64_lazy;
 using mpsram::util::Rng;
 using mpsram::util::Running_stats;
 
@@ -182,6 +185,120 @@ TEST(RngStream, SeedsSeparateSubstreamFamilies)
         if (a.normal() == b.normal()) ++same;
     }
     EXPECT_EQ(same, 0);
+}
+
+// --- Mt19937_64_lazy: the same sequence as std::mt19937_64 ---------------
+
+std::vector<std::uint64_t> equivalence_seeds()
+{
+    std::vector<std::uint64_t> seeds{0, ~std::uint64_t{0}, 5489,
+                                     std::uint64_t{1} << 63};
+    for (std::uint64_t s = 1; s <= 500; ++s) seeds.push_back(s);
+    for (std::uint64_t i = 0; i < 500; ++i) {
+        seeds.push_back(Rng::stream(20150609, i * 7919).seed());
+    }
+    return seeds;
+}
+
+TEST(Mt19937Lazy, MatchesStdEngineOutputForOutput)
+{
+    // 1000 outputs cross the lazy/eager boundaries at draws 155/156 (end
+    // of the per-word lazy twist), 311/312 (first full twist) and 623/624.
+    constexpr int outputs = 1000;
+    const std::vector<std::uint64_t> seeds = equivalence_seeds();
+    ASSERT_GE(seeds.size(), 1000u);
+    for (const std::uint64_t seed : seeds) {
+        std::mt19937_64 ref(seed);
+        Mt19937_64_lazy lazy(seed);
+        for (int k = 0; k < outputs; ++k) {
+            const std::uint64_t want = ref();
+            const std::uint64_t got = lazy();
+            ASSERT_EQ(got, want) << "seed " << seed << " output " << k;
+        }
+    }
+}
+
+TEST(Mt19937Lazy, CopyMidGenerationContinuesTheSequence)
+{
+    // A copy taken while the state is only partly seeded continues with
+    // exactly the outputs the original would produce.
+    for (const int before : {0, 1, 100, 155, 156, 311, 312, 400}) {
+        Mt19937_64_lazy a(42);
+        for (int k = 0; k < before; ++k) (void)a();
+        Mt19937_64_lazy b(a);
+        Mt19937_64_lazy c(7);
+        c = a;
+        std::mt19937_64 ref(42);
+        ref.discard(static_cast<unsigned long long>(before));
+        for (int k = 0; k < 700; ++k) {
+            const std::uint64_t want = ref();
+            ASSERT_EQ(a(), want) << "after " << before << " draws";
+            ASSERT_EQ(b(), want) << "copy after " << before << " draws";
+            ASSERT_EQ(c(), want) << "assigned after " << before << " draws";
+        }
+    }
+}
+
+TEST(Mt19937Lazy, RngDrawsEqualStdDistributionsOnStdEngine)
+{
+    // Every Rng helper is a std distribution on the engine, so the same
+    // interleaved sequence from a std::mt19937_64 reference must match
+    // bitwise — including the polar method's cached second normal, which
+    // survives across uniform/index draws.
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{99}, Rng::stream(3, 11).seed()}) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::normal_distribution<double> normal(0.0, 1.0);
+        for (int i = 0; i < 400; ++i) {
+            ASSERT_EQ(rng.normal(), normal(ref)) << "draw " << i;
+            ASSERT_EQ(rng.normal(2.0, 0.5), 2.0 + 0.5 * normal(ref));
+
+            // truncated_normal: rejection on the shared standard normal.
+            double z = normal(ref);
+            while (z < -1.0 || z > 1.0) z = normal(ref);
+            ASSERT_EQ(rng.truncated_normal(-1.0, 3.0, 1.0), -1.0 + 3.0 * z);
+
+            ASSERT_EQ(rng.uniform(-2.0, 5.0),
+                      std::uniform_real_distribution<double>(-2.0, 5.0)(ref));
+            ASSERT_EQ(rng.index(1000),
+                      std::uniform_int_distribution<std::uint64_t>(0, 999)(
+                          ref));
+            ASSERT_EQ(rng.index(std::uint64_t{1} << 40),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          0, (std::uint64_t{1} << 40) - 1)(ref));
+        }
+    }
+}
+
+TEST(RngStream, PinnedDrawsOfTheStudySeed)
+{
+    // First normals of Rng::stream(20150609, i), recorded from the
+    // std::mt19937_64-backed Rng.  A change to the engine that moves any
+    // draw moves every Monte-Carlo result and cache entry, and fails here
+    // by name first.
+    constexpr std::uint64_t seed = 20150609;
+    const std::vector<std::pair<std::uint64_t, double>> pinned = {
+        {0ULL, -0x1.662e2f7d3e327p-1},
+        {1ULL, -0x1.f6ee3a8228483p-1},
+        {2ULL, -0x1.2e0ea1081d455p+0},
+        {3ULL, 0x1.0c2a19190f5bbp+0},
+        {999999ULL, -0x1.2b5763856ed98p+0},
+        {1000000ULL, 0x1.5c093bbf1c566p-4},
+        {1ULL << 40, -0x1.5d30d810d5c62p-4},
+    };
+    for (const auto& [index, want] : pinned) {
+        Rng rng = Rng::stream(seed, index);
+        EXPECT_EQ(rng.normal(), want) << "index " << index;
+    }
+
+    // Deeper draws of stream 0, past the first full twist.
+    Rng rng = Rng::stream(seed, 0);
+    std::vector<double> draws(300);
+    for (double& d : draws) d = rng.normal();
+    EXPECT_EQ(draws[99], -0x1.a5436fdf0d048p-1);
+    EXPECT_EQ(draws[199], -0x1.05d5ac5ebe3b1p-1);
+    EXPECT_EQ(draws[299], -0x1.6b57816c3c354p+0);
 }
 
 } // namespace

@@ -29,6 +29,12 @@ introduced, before any bench gate can notice a drifting checksum:
                        grow an unaudited I/O surface; all socket I/O goes
                        through util::Socket / util::Unix_listener and the
                        service daemon's poll loop.
+  raw-engine           std::mt19937(_64) / minstd_rand / ranlux /
+                       knuth_b / default_random_engine outside
+                       src/util/rng.{h,cpp}.  util::Rng is the one
+                       engine: Mt19937_64_lazy makes a per-sample
+                       substream cheap, and a std engine in a hot loop
+                       pays the full 312-word seed and twist again.
 
 Escape hatch: a finding on a line containing `// lint:allow(<rule>)` (or
 whose previous line is exactly such a comment) is suppressed.  Use it for
@@ -61,6 +67,9 @@ RAW_THREAD_ALLOWED = ("src/util/thread_pool.h", "src/util/thread_pool.cpp")
 # I/O layer: the util socket wrappers and the service daemon's poll loop.
 RAW_SOCKET_ALLOWED_PREFIXES = ("src/util/",)
 RAW_SOCKET_ALLOWED = ("src/core/service.cpp",)
+
+# Where a raw std random engine may appear: the util::Rng implementation.
+RAW_ENGINE_ALLOWED = ("src/util/rng.h", "src/util/rng.cpp")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 EXPECT_RE = re.compile(r"//\s*lint:expect\(([a-z-]+)\)")
@@ -199,6 +208,15 @@ LINE_RULES = [
         "src/core/service.cpp; route I/O through util::Socket / "
         "util::Unix_listener",
     ),
+    (
+        "raw-engine",
+        re.compile(
+            r"\b(?:mt19937(?:_64)?|minstd_rand0?|ranlux\w*|knuth_b"
+            r"|default_random_engine)\b"
+        ),
+        "raw std random engine outside src/util/rng.{h,cpp}; draw from "
+        "util::Rng (Rng::stream / Rng::child) instead",
+    ),
 ]
 
 UNORDERED_DECL_RE = re.compile(
@@ -246,6 +264,8 @@ def scan_file(path: Path, relpath: str, self_test: bool) -> tuple[list, list]:
                 relpath.startswith(RAW_SOCKET_ALLOWED_PREFIXES)
                 or relpath in RAW_SOCKET_ALLOWED
             ):
+                continue
+            if rule == "raw-engine" and relpath in RAW_ENGINE_ALLOWED:
                 continue
             if rx.search(line):
                 report(idx, rule, message)

@@ -104,6 +104,15 @@ inline int bad_qualified_socket_calls(int fd)
     return client;
 }
 
+// --- raw-engine: a std engine outside util::Rng ----------------------------
+inline double bad_raw_engine_draw(unsigned long long seed)
+{
+    std::mt19937_64 engine(seed);  // lint:expect(raw-engine)
+    std::default_random_engine other(1);  // lint:expect(raw-engine)
+    return std::normal_distribution<double>(0.0, 1.0)(engine) +
+           static_cast<double>(other());
+}
+
 // --- escape hatch: reviewed exceptions stay silent --------------------------
 inline std::size_t allowed_unordered_size_only(
     const std::unordered_map<std::string, double>& weights)
@@ -140,7 +149,12 @@ inline int clean_lookalikes()
     const int stepped = accept_step(7);  // not the accept() syscall
     const auto bindings = [](int v) { return v; };
     const int bound = bindings(1);       // not bind() either
+    // "std::mt19937_64" in a comment or string is not an engine, and
+    // neither is an identifier that merely contains the name.
+    const std::string engine_name = "std::mt19937_64";
+    const int my_mt19937_64_count = 0;
     return operand + wall_time + hardware + sum + stepped + bound +
+           my_mt19937_64_count + static_cast<int>(engine_name.size()) +
            static_cast<int>(s.size()) +
            (it != lut.end() ? it->second : 0);
 }
