@@ -706,8 +706,7 @@ util::Json canonical_query_json(const Study_session& session,
     Json j;
     j.set("kind", "query");
     j.set("version", serialization_version);
-    j.set("fingerprint",
-          util::hex16(config_fingerprint(session.technology(), opts)));
+    j.set("fingerprint", util::hex16(session.config_fingerprint()));
     j.set("metric", to_string(q.metric));
     Json_array cases;
     cases.reserve(q.cases.size());

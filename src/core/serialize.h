@@ -59,7 +59,9 @@ namespace mpsram::core {
 /// Version of every encoding in this header.  Participates in each cache
 /// key and in the cache directory layout, so bumping it orphans all
 /// previously stored entries at once (they are never misread).
-inline constexpr std::uint64_t serialization_version = 3;
+/// 4: every Monte-Carlo draw moved (counter-based SplitMix64 substreams,
+/// repo-owned normal/uniform transforms, FNV-1a child-stream names).
+inline constexpr std::uint64_t serialization_version = 4;
 
 // --- transport round-trips ---------------------------------------------------
 

@@ -37,9 +37,9 @@ Study_session::Study_session(tech::Technology tech, Study_options opts)
         opts_.array.victim_pair = 6;
     }
 
-    // Fingerprint the resolved configuration (victim_pair included), then
-    // bring up the on-disk cache if a directory is configured anywhere.
-    fingerprint_ = core::config_fingerprint(tech_, opts_);
+    // Bring up the on-disk cache if a directory is configured anywhere.
+    // The configuration fingerprint its keys embed is computed on first
+    // use (config_fingerprint()), so an uncached session never pays it.
     const Cache_mode mode = opts_.cache.mode.value_or(default_cache_mode());
     const std::string dir = !opts_.cache.directory.empty()
                                 ? opts_.cache.directory
@@ -48,6 +48,16 @@ Study_session::Study_session(tech::Technology tech, Study_options opts)
         cache_ = std::make_shared<Result_cache>(dir, mode,
                                                 serialization_version);
     }
+}
+
+std::uint64_t Study_session::config_fingerprint() const
+{
+    // The resolved configuration (victim_pair included) is fixed at
+    // construction, so the first caller's hash is every caller's.
+    std::call_once(fingerprint_once_, [this] {
+        fingerprint_ = core::config_fingerprint(tech_, opts_);
+    });
+    return fingerprint_;
 }
 
 tech::Technology Study_session::tech_with_ol(double ol_3sigma) const
@@ -179,7 +189,9 @@ Study_session::worst_case_cached(tech::Patterning_option option,
     using Result = std::shared_ptr<const mc::Worst_case_result>;
     return single_flight(wc_cache_mutex_, wc_cache_, key, [&]() -> Result {
         const std::uint64_t disk_key =
-            corner_key(fingerprint_, option, word_lines, ol_3sigma);
+            cache_ ? corner_key(config_fingerprint(), option, word_lines,
+                                ol_3sigma)
+                   : 0;
         if (cache_) {
             if (const auto stored = cache_->load("corner", disk_key)) {
                 // Served from disk: no enumeration, the search counter
@@ -238,8 +250,9 @@ Study_session::calibrated_surfaces(Metric metric,
     return single_flight(
         surface_cache_mutex_, surface_cache_, key, [&]() -> Result {
             const std::uint64_t disk_key =
-                surface_key(fingerprint_, metric, option, word_lines,
-                            ol_3sigma, acc);
+                cache_ ? surface_key(config_fingerprint(), metric, option,
+                                     word_lines, ol_3sigma, acc)
+                       : 0;
             if (cache_) {
                 if (const auto stored = cache_->load("surface", disk_key)) {
                     // Served from disk: no design evaluations, no fit —
@@ -504,7 +517,9 @@ double Study_session::nominal_spice(
         // Memory miss: consult the disk cache before paying for a
         // transient.
         const std::uint64_t disk_key =
-            nominal_key(fingerprint_, kind, word_lines, accuracy);
+            cache_ ? nominal_key(config_fingerprint(), kind, word_lines,
+                                 accuracy)
+                   : 0;
         if (cache_) {
             if (const auto stored = cache_->load(kind, disk_key)) {
                 return util::double_of_json(stored->at("value"));

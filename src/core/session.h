@@ -255,8 +255,9 @@ public:
 
     /// FNV-1a fingerprint of the session's technology + study options
     /// (core/serialize.h) — the configuration component of every cache
-    /// key, exposed for the shard driver and tests.
-    std::uint64_t config_fingerprint() const { return fingerprint_; }
+    /// key, exposed for the shard driver and tests.  Computed once, on
+    /// first use: an uncached session never reads it.
+    std::uint64_t config_fingerprint() const;
 
     /// Per-worker scratch of a query run: one simulation context per
     /// operation kind.  Contexts build their netlists lazily on first
@@ -352,10 +353,12 @@ private:
     sram::Cell_electrical cell_;
 
     /// On-disk cache (null when off or no directory is configured) and
-    /// the configuration fingerprint its keys embed.  The cache's own
-    /// counters are atomic, so const query paths may use it freely.
+    /// the configuration fingerprint its keys embed (written once under
+    /// fingerprint_once_).  The cache's own counters are atomic, so const
+    /// query paths may use it freely.
     std::shared_ptr<Result_cache> cache_;
-    std::uint64_t fingerprint_ = 0;
+    mutable std::once_flag fingerprint_once_;
+    mutable std::uint64_t fingerprint_ = 0;
 
     // The nominal-metric memo, keyed on (kind, word_lines, accuracy) so
     // queries overriding the accuracy on one session never cross results

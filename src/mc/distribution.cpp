@@ -59,6 +59,44 @@ util::Sample_summary poisoned_summary(std::size_t count)
     return util::Sample_summary{count, nan, nan, nan, nan, nan, nan, nan};
 }
 
+/// The streaming accumulators: moments plus three P-squared quantiles,
+/// fed in sample order.  Cache-line aligned because the fold job writes
+/// it on every value while eval jobs on other workers read the loop's
+/// locals, which would otherwise share its lines.
+struct alignas(64) Streaming_fold {
+    util::Running_stats stats;
+    util::P2_quantile median{0.5};
+    util::P2_quantile p01{0.01};
+    util::P2_quantile p99{0.99};
+    std::size_t count = 0;  ///< values seen, NaN included
+    bool any_nan = false;
+
+    void add(const std::vector<double>& values, std::size_t size)
+    {
+        count += size;
+        for (std::size_t i = 0; i < size; ++i) {
+            const double x = values[i];
+            if (std::isnan(x)) {
+                any_nan = true;
+                continue;
+            }
+            stats.add(x);
+            median.add(x);
+            p01.add(x);
+            p99.add(x);
+        }
+    }
+
+    util::Sample_summary summary() const
+    {
+        if (any_nan) return poisoned_summary(count);
+        return util::Sample_summary{
+            stats.count(), stats.mean(),     stats.stddev(),
+            stats.min(),   stats.max(),      median.result(),
+            p01.result(),  p99.result()};
+    }
+};
+
 } // namespace
 
 Tdp_distribution accumulate_distribution(const Sample_eval& eval,
@@ -96,51 +134,52 @@ Tdp_distribution accumulate_distribution(const Sample_eval& eval,
         return dist;
     }
 
-    // Streaming mode: evaluate one fixed-size block at a time in parallel,
-    // then fold it into the accumulators serially in sample order.  Memory
+    // Streaming mode: evaluate one fixed-size block at a time in parallel
+    // and fold it into the accumulators serially in sample order.  Memory
     // is O(streaming_block) regardless of the sample count.
     util::expects(opts.sampling == Sampling::pseudo_random,
                   "streaming accumulation requires pseudo-random sampling "
                   "(Latin-hypercube pregenerates every sample)");
 
-    util::Running_stats stats;
-    util::P2_quantile median(0.5);
-    util::P2_quantile p01(0.01);
-    util::P2_quantile p99(0.99);
-    bool any_nan = false;
+    Streaming_fold acc;
 
-    std::vector<double> block(std::min(streaming_block, count));
+    // Pipelined: one run_indexed call evaluates block k+1 into one buffer
+    // while its job 0 folds block k from the other.  Exactly one job folds
+    // per call and run_indexed joins between calls, so the accumulators
+    // see every value once, in sample order, on one thread at a time —
+    // the summary is bitwise the serial fold's at any thread count.
+    const std::size_t block_size = std::min(streaming_block, count);
+    std::vector<double> blocks[2] = {std::vector<double>(block_size),
+                                     std::vector<double>(block_size)};
+    std::size_t pending_size = 0;  // size of the pending block, 0 = none
+    int pending = 0;               // buffer holding the pending block
     for (std::size_t begin = 0; begin < count; begin += streaming_block) {
         const std::size_t size = std::min(streaming_block, count - begin);
+        const int fill = 1 - pending;
+        std::vector<double>& block = blocks[fill];
+        const std::vector<double>& previous = blocks[pending];
+        const std::size_t previous_size = pending_size;
         core::run_indexed(
-            size,
-            [&](std::size_t i, const core::Run_context& ctx) {
-                // Block-local slot; the SAMPLE index handed to eval is
-                // begin + i, which is what its substream derives from.
-                block[core::checked_slot(ctx, size)] =
-                    eval(begin + i, ctx).metric;
+            size + 1,
+            [&](std::size_t job, const core::Run_context& ctx) {
+                if (job == 0) {
+                    acc.add(previous, previous_size);
+                    return;
+                }
+                // Block-local slot (job - 1); the SAMPLE index handed to
+                // eval is begin + slot, which its substream derives from.
+                const std::size_t slot =
+                    core::checked_slot(ctx, size + 1) - 1;
+                const std::size_t sample = begin + slot;
+                MPSRAM_REQUIRE_INDEX(sample, count);
+                block[slot] = eval(sample, ctx).metric;
             },
             opts.runner);
-        for (std::size_t i = 0; i < size; ++i) {
-            if (std::isnan(block[i])) {
-                any_nan = true;
-                continue;
-            }
-            stats.add(block[i]);
-            median.add(block[i]);
-            p01.add(block[i]);
-            p99.add(block[i]);
-        }
+        pending = fill;
+        pending_size = size;
     }
-
-    if (any_nan) {
-        dist.summary = poisoned_summary(count);
-    } else {
-        dist.summary =
-            util::Sample_summary{stats.count(), stats.mean(), stats.stddev(),
-                                 stats.min(),   stats.max(),  median.result(),
-                                 p01.result(),  p99.result()};
-    }
+    acc.add(blocks[pending], pending_size);
+    dist.summary = acc.summary();
     return dist;
 }
 

@@ -142,6 +142,36 @@ TEST(CoreCache, QueryKeySeparatesResultChangingFields)
     EXPECT_NE(core::query_key(session, other_accuracy), base_key);
 }
 
+TEST(CoreCache, SessionFingerprintIsTheConfigurationHash)
+{
+    // The session computes its fingerprint on first use; concurrent first
+    // callers all see the one hash of the resolved configuration, and the
+    // query key embeds exactly that hash.
+    const core::Study_session session;
+    const std::uint64_t want =
+        core::config_fingerprint(session.technology(), session.options());
+    std::vector<std::uint64_t> seen(64, 0);
+    core::run_indexed(
+        seen.size(),
+        [&](std::size_t i, const core::Run_context& ctx) {
+            seen[core::checked_slot(ctx, seen.size())] =
+                i % 2 == 0 ? session.config_fingerprint()
+                           : core::query_key(
+                                 session, core::Query(core::Metric::read_td));
+        },
+        core::Runner_options{4});
+    const std::uint64_t query_key =
+        core::query_key(session, core::Query(core::Metric::read_td));
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], i % 2 == 0 ? want : query_key) << "job " << i;
+    }
+    EXPECT_EQ(core::canonical_query_json(session,
+                                         core::Query(core::Metric::read_td))
+                  .at("fingerprint")
+                  .as_string(),
+              util::hex16(want));
+}
+
 TEST(CoreCache, NanPoisonedTableRoundTripsBitwise)
 {
     // A non-flipping write sample poisons its row with NaN; IEEE ==

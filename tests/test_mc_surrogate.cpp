@@ -144,6 +144,94 @@ TEST(SurrogateDistribution, BitwiseIdenticalAcrossThreadCounts)
     }
 }
 
+// Sample counts around the 8192-sample streaming block: one sample, one
+// short of a block, exactly one block, one past it, and several blocks
+// with a ragged tail.
+const std::vector<int> fold_counts = {1, 8191, 8192, 8193, 3 * 8192 + 5};
+
+/// The serial streaming fold, by hand: Running_stats plus the three
+/// P-squared estimators over `values` in order.
+util::Sample_summary serial_fold(const std::vector<double>& values)
+{
+    util::Running_stats stats;
+    util::P2_quantile median(0.5);
+    util::P2_quantile p01(0.01);
+    util::P2_quantile p99(0.99);
+    for (const double x : values) {
+        stats.add(x);
+        median.add(x);
+        p01.add(x);
+        p99.add(x);
+    }
+    return util::Sample_summary{stats.count(), stats.mean(), stats.stddev(),
+                                stats.min(),   stats.max(),  median.result(),
+                                p01.result(),  p99.result()};
+}
+
+TEST(StreamingFold, BitwiseIdenticalAtAnyThreadCount)
+{
+    Fixture f(tech::Patterning_option::le3);
+    for (const int samples : fold_counts) {
+        mc::Distribution_options opts;
+        opts.samples = samples;
+        opts.store_samples = false;
+        opts.runner = core::Runner_options{1};
+        const auto reference =
+            mc::surrogate_distribution(*f.engine, f.surfaces, opts);
+        EXPECT_EQ(reference.summary.count,
+                  static_cast<std::size_t>(samples));
+        for (const int threads : {2, 3, 4, 8}) {
+            opts.runner = core::Runner_options{threads};
+            const auto run =
+                mc::surrogate_distribution(*f.engine, f.surfaces, opts);
+            EXPECT_TRUE(run.summary == reference.summary)
+                << "samples " << samples << " threads " << threads;
+        }
+    }
+}
+
+TEST(StreamingFold, EqualsASerialFoldOfTheStoredValues)
+{
+    Fixture f(tech::Patterning_option::sadp);
+    for (const int samples : fold_counts) {
+        mc::Distribution_options stored;
+        stored.samples = samples;
+        stored.runner = core::Runner_options{4};
+        mc::Distribution_options streaming = stored;
+        streaming.store_samples = false;
+
+        const auto a =
+            mc::surrogate_distribution(*f.engine, f.surfaces, stored);
+        const auto b =
+            mc::surrogate_distribution(*f.engine, f.surfaces, streaming);
+        EXPECT_TRUE(b.summary == serial_fold(a.tdp))
+            << "samples " << samples;
+    }
+}
+
+TEST(StreamingFold, NanInAnEarlyBlockPoisonsTheSummary)
+{
+    // The NaN sits in block 0 of four, so it is folded while later blocks
+    // are still being evaluated; the summary must still be poisoned.
+    for (const int threads : {1, 4}) {
+        mc::Distribution_options opts;
+        opts.samples = 3 * 8192 + 5;
+        opts.store_samples = false;
+        opts.runner = core::Runner_options{threads};
+        const auto dist = mc::accumulate_distribution(
+            [](std::size_t i, const core::Run_context&) {
+                mc::Sample_values v;
+                v.metric = i == 100 ? std::nan("") : static_cast<double>(i);
+                return v;
+            },
+            opts);
+        EXPECT_EQ(dist.summary.count, static_cast<std::size_t>(opts.samples));
+        EXPECT_TRUE(std::isnan(dist.summary.mean)) << "threads " << threads;
+        EXPECT_TRUE(std::isnan(dist.summary.median)) << "threads " << threads;
+        EXPECT_TRUE(std::isnan(dist.summary.p99)) << "threads " << threads;
+    }
+}
+
 TEST(SurrogateDistribution, LatinHypercubeConvergesTighter)
 {
     Fixture f(tech::Patterning_option::euv);

@@ -2,18 +2,18 @@
 
 #include <cmath>
 #include <cstdint>
-#include <random>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/contracts.h"
+#include "util/hash.h"
 #include "util/stats.h"
 
 namespace {
 
-using mpsram::util::Mt19937_64_lazy;
 using mpsram::util::Rng;
 using mpsram::util::Running_stats;
 
@@ -187,118 +187,187 @@ TEST(RngStream, SeedsSeparateSubstreamFamilies)
     EXPECT_EQ(same, 0);
 }
 
-// --- Mt19937_64_lazy: the same sequence as std::mt19937_64 ---------------
+// --- The engine: SplitMix64 on a Weyl counter --------------------------
 
-std::vector<std::uint64_t> equivalence_seeds()
+TEST(RngEngine, SplitMix64KnownAnswers)
 {
-    std::vector<std::uint64_t> seeds{0, ~std::uint64_t{0}, 5489,
-                                     std::uint64_t{1} << 63};
-    for (std::uint64_t s = 1; s <= 500; ++s) seeds.push_back(s);
-    for (std::uint64_t i = 0; i < 500; ++i) {
-        seeds.push_back(Rng::stream(20150609, i * 7919).seed());
-    }
-    return seeds;
-}
-
-TEST(Mt19937Lazy, MatchesStdEngineOutputForOutput)
-{
-    // 1000 outputs cross the lazy/eager boundaries at draws 155/156 (end
-    // of the per-word lazy twist), 311/312 (first full twist) and 623/624.
-    constexpr int outputs = 1000;
-    const std::vector<std::uint64_t> seeds = equivalence_seeds();
-    ASSERT_GE(seeds.size(), 1000u);
-    for (const std::uint64_t seed : seeds) {
-        std::mt19937_64 ref(seed);
-        Mt19937_64_lazy lazy(seed);
-        for (int k = 0; k < outputs; ++k) {
-            const std::uint64_t want = ref();
-            const std::uint64_t got = lazy();
-            ASSERT_EQ(got, want) << "seed " << seed << " output " << k;
+    // Reference SplitMix64 outputs (Vigna's splitmix64.c) for two keys:
+    // Rng(key) emits exactly that sequence.
+    const std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>
+        vectors = {
+            {1234567,
+             {6457827717110365317ULL, 3203168211198807973ULL,
+              9817491932198370423ULL, 4593380528125082431ULL,
+              16408922859458223821ULL}},
+            {0,
+             {16294208416658607535ULL, 7960286522194355700ULL,
+              487617019471545679ULL}},
+        };
+    for (const auto& [key, outputs] : vectors) {
+        Rng rng(key);
+        for (const std::uint64_t want : outputs) {
+            EXPECT_EQ(rng.next_u64(), want) << "key " << key;
         }
     }
 }
 
-TEST(Mt19937Lazy, CopyMidGenerationContinuesTheSequence)
+TEST(RngEngine, OutputIsTheFinalizerAtTheCounter)
 {
-    // A copy taken while the state is only partly seeded continues with
-    // exactly the outputs the original would produce.
-    for (const int before : {0, 1, 100, 155, 156, 311, 312, 400}) {
-        Mt19937_64_lazy a(42);
-        for (int k = 0; k < before; ++k) (void)a();
-        Mt19937_64_lazy b(a);
-        Mt19937_64_lazy c(7);
-        c = a;
-        std::mt19937_64 ref(42);
-        ref.discard(static_cast<unsigned long long>(before));
-        for (int k = 0; k < 700; ++k) {
-            const std::uint64_t want = ref();
-            ASSERT_EQ(a(), want) << "after " << before << " draws";
-            ASSERT_EQ(b(), want) << "copy after " << before << " draws";
-            ASSERT_EQ(c(), want) << "assigned after " << before << " draws";
+    // Output j of the stream keyed s is finalize(s + (j + 1) * gamma):
+    // a counter-based generator, so any output is reachable directly.
+    const std::uint64_t key = Rng::stream(20150609, 42).seed();
+    Rng rng(key);
+    for (std::uint64_t j = 0; j < 1000; ++j) {
+        ASSERT_EQ(rng.next_u64(),
+                  mpsram::util::splitmix64_finalize(
+                      key + (j + 1) * mpsram::util::splitmix64_gamma))
+            << "output " << j;
+    }
+}
+
+TEST(RngEngine, CanonicalIsTheTop53Bits)
+{
+    Rng a(99);
+    Rng b(99);
+    for (int i = 0; i < 1000; ++i) {
+        const double u = a.canonical();
+        ASSERT_EQ(u, static_cast<double>(b.next_u64() >> 11) * 0x1.0p-53);
+        ASSERT_GE(u, 0.0);
+        ASSERT_LT(u, 1.0);
+    }
+}
+
+TEST(RngStream, KeyDerivationIsPinned)
+{
+    // Substream keys, recorded while the engine was still MT19937-64: the
+    // key derivation did not change with the engine, only the draws made
+    // from a key did.
+    EXPECT_EQ(Rng::stream(20150609, 0).seed(), 18042156610644713828ULL);
+    EXPECT_EQ(Rng::stream(20150609, 1).seed(), 18015720208123556437ULL);
+    EXPECT_EQ(Rng::stream(20150609, std::uint64_t{1} << 40).seed(), 5857799421125516778ULL);
+}
+
+TEST(RngStream, ChildHashesTheNameWithFnv1a)
+{
+    // The child key depends only on this repo's FNV-1a, never on the
+    // standard library's std::hash: mix64(seed ^ mix64(fnv1a(name))),
+    // mix64(z) = finalize(z + gamma).
+    const auto mix64 = [](std::uint64_t z) {
+        return mpsram::util::splitmix64_finalize(
+            z + mpsram::util::splitmix64_gamma);
+    };
+    for (const char* name : {"LE3", "SADP", "importance-tail", ""}) {
+        EXPECT_EQ(Rng(20150609).child(name).seed(),
+                  mix64(20150609 ^ mix64(mpsram::util::fnv1a(name))))
+            << name;
+    }
+    EXPECT_EQ(Rng(20150609).child("LE3").seed(), 8751931444802302240ULL);
+}
+
+// --- Statistical checks: bands from the sample count alone ---------------
+
+TEST(RngStatistics, NormalMeanAndVarianceWithinFiveStandardErrors)
+{
+    constexpr int n = 1000000;
+    Rng rng(20150609);
+    Running_stats s;
+    for (int i = 0; i < n; ++i) s.add(rng.normal());
+    // SE(mean) = 1/sqrt(n); SE(sample variance) = sqrt(2/(n-1)) for a
+    // standard normal.
+    const double se_mean = 1.0 / std::sqrt(static_cast<double>(n));
+    const double se_var = std::sqrt(2.0 / static_cast<double>(n - 1));
+    EXPECT_NEAR(s.mean(), 0.0, 5.0 * se_mean);
+    EXPECT_NEAR(s.stddev() * s.stddev(), 1.0, 5.0 * se_var);
+}
+
+TEST(RngStatistics, TruncatedNormalStaysInsideTheBox)
+{
+    for (const double k : {0.5, 1.0, 3.0}) {
+        Rng rng(7);
+        for (int i = 0; i < 100000; ++i) {
+            const double x = rng.truncated_normal(2.0, 0.25, k);
+            ASSERT_GE(x, 2.0 - k * 0.25) << "k " << k;
+            ASSERT_LE(x, 2.0 + k * 0.25) << "k " << k;
         }
     }
 }
 
-TEST(Mt19937Lazy, RngDrawsEqualStdDistributionsOnStdEngine)
+TEST(RngStatistics, UniformNeverReturnsHi)
 {
-    // Every Rng helper is a std distribution on the engine, so the same
-    // interleaved sequence from a std::mt19937_64 reference must match
-    // bitwise — including the polar method's cached second normal, which
-    // survives across uniform/index draws.
-    for (const std::uint64_t seed :
-         {std::uint64_t{0}, std::uint64_t{99}, Rng::stream(3, 11).seed()}) {
-        Rng rng(seed);
-        std::mt19937_64 ref(seed);
-        std::normal_distribution<double> normal(0.0, 1.0);
-        for (int i = 0; i < 400; ++i) {
-            ASSERT_EQ(rng.normal(), normal(ref)) << "draw " << i;
-            ASSERT_EQ(rng.normal(2.0, 0.5), 2.0 + 0.5 * normal(ref));
-
-            // truncated_normal: rejection on the shared standard normal.
-            double z = normal(ref);
-            while (z < -1.0 || z > 1.0) z = normal(ref);
-            ASSERT_EQ(rng.truncated_normal(-1.0, 3.0, 1.0), -1.0 + 3.0 * z);
-
-            ASSERT_EQ(rng.uniform(-2.0, 5.0),
-                      std::uniform_real_distribution<double>(-2.0, 5.0)(ref));
-            ASSERT_EQ(rng.index(1000),
-                      std::uniform_int_distribution<std::uint64_t>(0, 999)(
-                          ref));
-            ASSERT_EQ(rng.index(std::uint64_t{1} << 40),
-                      std::uniform_int_distribution<std::uint64_t>(
-                          0, (std::uint64_t{1} << 40) - 1)(ref));
-        }
+    Rng rng(3);
+    for (int i = 0; i < 100000; ++i) {
+        const double x = rng.uniform(0.0, 1.0);
+        ASSERT_GE(x, 0.0);
+        ASSERT_LT(x, 1.0);
     }
+    // Forced edge: a one-ulp range, where lo + (hi - lo) * u rounds up to
+    // hi for about half of all u.  Every draw must still be lo.
+    const double lo = 1.0;
+    const double hi = std::nextafter(1.0, 2.0);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.uniform(lo, hi), lo);
+    EXPECT_THROW(rng.uniform(-std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::max()),
+                 mpsram::util::Precondition_error);
+}
+
+TEST(RngStatistics, IndexPassesChiSquare)
+{
+    constexpr std::uint64_t bins = 7;
+    constexpr int n = 700000;
+    Rng rng(11);
+    std::vector<double> counts(bins, 0.0);
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t k = rng.index(bins);
+        ASSERT_LT(k, bins);
+        counts[static_cast<std::size_t>(k)] += 1.0;
+    }
+    const double expected = static_cast<double>(n) / bins;
+    double chi2 = 0.0;
+    for (const double c : counts) {
+        chi2 += (c - expected) * (c - expected) / expected;
+    }
+    // 6 degrees of freedom: P(chi2 > 40) = e^-20 (1 + 20 + 200) ~ 5e-7.
+    EXPECT_LT(chi2, 40.0);
+}
+
+TEST(RngStatistics, IndexHandlesRangesNearTwoToThe64)
+{
+    // n just above 2^63 rejects almost half of all outputs; the accepted
+    // draws still land in range.
+    const std::uint64_t n = (std::uint64_t{1} << 63) + 1;
+    Rng rng(5);
+    for (int i = 0; i < 1000; ++i) ASSERT_LT(rng.index(n), n);
+    EXPECT_EQ(rng.index(1), 0u);
 }
 
 TEST(RngStream, PinnedDrawsOfTheStudySeed)
 {
     // First normals of Rng::stream(20150609, i), recorded from the
-    // std::mt19937_64-backed Rng.  A change to the engine that moves any
-    // draw moves every Monte-Carlo result and cache entry, and fails here
-    // by name first.
+    // SplitMix64-backed Rng with its polar-method normal.  A change to the
+    // engine or the transform that moves any draw moves every Monte-Carlo
+    // result and cache entry, and fails here by name first.
     constexpr std::uint64_t seed = 20150609;
     const std::vector<std::pair<std::uint64_t, double>> pinned = {
-        {0ULL, -0x1.662e2f7d3e327p-1},
-        {1ULL, -0x1.f6ee3a8228483p-1},
-        {2ULL, -0x1.2e0ea1081d455p+0},
-        {3ULL, 0x1.0c2a19190f5bbp+0},
-        {999999ULL, -0x1.2b5763856ed98p+0},
-        {1000000ULL, 0x1.5c093bbf1c566p-4},
-        {1ULL << 40, -0x1.5d30d810d5c62p-4},
+        {0ULL, -0x1.4795edfd819efp+0},
+        {1ULL, 0x1.cfec96cd1ab14p-2},
+        {2ULL, -0x1.ccef14fa987d6p-1},
+        {3ULL, -0x1.0a5bd2919b31ep+0},
+        {999999ULL, -0x1.ee2696950f536p-3},
+        {1000000ULL, -0x1.87307b393079p-7},
+        {1ULL << 40, -0x1.aa870f0ef851p-2},
     };
     for (const auto& [index, want] : pinned) {
         Rng rng = Rng::stream(seed, index);
         EXPECT_EQ(rng.normal(), want) << "index " << index;
     }
 
-    // Deeper draws of stream 0, past the first full twist.
+    // Deeper draws of stream 0, spare normals included.
     Rng rng = Rng::stream(seed, 0);
     std::vector<double> draws(300);
     for (double& d : draws) d = rng.normal();
-    EXPECT_EQ(draws[99], -0x1.a5436fdf0d048p-1);
-    EXPECT_EQ(draws[199], -0x1.05d5ac5ebe3b1p-1);
-    EXPECT_EQ(draws[299], -0x1.6b57816c3c354p+0);
+    EXPECT_EQ(draws[99], -0x1.417dee8f8145cp-1);
+    EXPECT_EQ(draws[199], 0x1.7c7a94ba9b9c1p-3);
+    EXPECT_EQ(draws[299], 0x1.1ae2b2baef4fbp+1);
 }
 
 } // namespace

@@ -32,9 +32,13 @@ introduced, before any bench gate can notice a drifting checksum:
   raw-engine           std::mt19937(_64) / minstd_rand / ranlux /
                        knuth_b / default_random_engine outside
                        src/util/rng.{h,cpp}.  util::Rng is the one
-                       engine: Mt19937_64_lazy makes a per-sample
-                       substream cheap, and a std engine in a hot loop
-                       pays the full 312-word seed and twist again.
+                       engine: a counter-based substream costs two
+                       words, and a std engine in a hot loop pays a full
+                       seed again.  Also std::*_distribution and
+                       std::generate_canonical: their algorithms are
+                       implementation-defined, so draws through them
+                       differ across standard libraries; util::Rng owns
+                       every transform.
 
 Escape hatch: a finding on a line containing `// lint:allow(<rule>)` (or
 whose previous line is exactly such a comment) is suppressed.  Use it for
@@ -213,9 +217,11 @@ LINE_RULES = [
         re.compile(
             r"\b(?:mt19937(?:_64)?|minstd_rand0?|ranlux\w*|knuth_b"
             r"|default_random_engine)\b"
+            r"|\bstd::\w+_distribution\b|\bgenerate_canonical\b"
         ),
-        "raw std random engine outside src/util/rng.{h,cpp}; draw from "
-        "util::Rng (Rng::stream / Rng::child) instead",
+        "raw std random engine or distribution outside "
+        "src/util/rng.{h,cpp}; draw from util::Rng (Rng::stream / "
+        "Rng::child) instead",
     ),
 ]
 

@@ -109,8 +109,16 @@ inline double bad_raw_engine_draw(unsigned long long seed)
 {
     std::mt19937_64 engine(seed);  // lint:expect(raw-engine)
     std::default_random_engine other(1);  // lint:expect(raw-engine)
-    return std::normal_distribution<double>(0.0, 1.0)(engine) +
+    return std::normal_distribution<double>(0.0, 1.0)(engine) +  // lint:expect(raw-engine)
            static_cast<double>(other());
+}
+
+// --- raw-engine: a std transform outside util::Rng -------------------------
+inline double bad_raw_distribution_draw(util::Rng& rng)
+{
+    std::uniform_real_distribution<double> unit(0.0, 1.0);  // lint:expect(raw-engine)
+    return unit(rng) +
+           std::generate_canonical<double, 53>(rng);  // lint:expect(raw-engine)
 }
 
 // --- escape hatch: reviewed exceptions stay silent --------------------------
@@ -153,6 +161,9 @@ inline int clean_lookalikes()
     // neither is an identifier that merely contains the name.
     const std::string engine_name = "std::mt19937_64";
     const int my_mt19937_64_count = 0;
+    // The repo's own *_distribution functions are not std transforms.
+    const auto tdp = mc::metric_distribution(engine_name, 3);
+    (void)tdp;
     return operand + wall_time + hardware + sum + stepped + bound +
            my_mt19937_64_count + static_cast<int>(engine_name.size()) +
            static_cast<int>(s.size()) +
