@@ -105,8 +105,9 @@ std::string_view to_string(Tdp_engine engine);
 std::string_view to_string(Twp_engine engine);
 
 /// A declarative study request: metric + cases + execution policy.
-/// Execution contract (same as the legacy batch APIs): results are
-/// indexed like `cases` and bitwise identical at any thread count.
+/// Execution contract: results are indexed like `cases`, each row is a
+/// function of its own case alone (not of the other cases in the query),
+/// and every row is bitwise identical at any thread count.
 ///
 /// Persistence: a query serializes to canonical JSON and its result is
 /// cacheable under a canonical hash (core/serialize.h).  The hash covers
@@ -213,7 +214,7 @@ struct Query {
 // --- result row types --------------------------------------------------------
 // One struct per metric family; `Result_table::as<Row>(i)` recovers the
 // typed row.  All comparisons are bitwise (IEEE ==), matching the
-// determinism contract the parity tests assert.
+// determinism contract of Query.
 
 /// Table I row.
 struct Worst_case_row {
@@ -324,7 +325,7 @@ public:
     const Row_value& raw(std::size_t i) const;
 
     /// Bitwise row comparison (IEEE ==; the thread-determinism check of
-    /// the benches and parity tests).
+    /// the benches and tests).
     bool operator==(const Result_table&) const = default;
 
 private:

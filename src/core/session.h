@@ -19,11 +19,12 @@
 // determinism contract without touching this class.  The half-select
 // disturb metric is exactly such a registration.
 //
-// Determinism contract (unchanged from the legacy batch APIs): nominal
-// jobs fill memos only; each case job writes only its own row, keyed by
-// case index (never by plan index or completion order); randomized
-// metrics derive their streams from sample indices; results are bitwise
-// identical at any thread count.
+// Determinism contract: nominal jobs fill memos only; each case job
+// writes only its own row, keyed by case index (never by plan index or
+// completion order); randomized metrics derive their streams from sample
+// indices.  So a row depends on its case alone, not on the other cases of
+// the query or on memo state, and results are bitwise identical at any
+// thread count.
 #ifndef MPSRAM_CORE_SESSION_H
 #define MPSRAM_CORE_SESSION_H
 

@@ -1,4 +1,6 @@
-// Circuit database: named nodes plus an owned list of devices.
+// Circuit database: named nodes plus an owned list of devices.  Devices
+// enter only through the add_* builders, so the list holds the five
+// library classes the MNA engine compiles (spice/system.h).
 #ifndef MPSRAM_SPICE_CIRCUIT_H
 #define MPSRAM_SPICE_CIRCUIT_H
 
@@ -41,7 +43,6 @@ public:
     {
         return devices_;
     }
-    std::vector<std::unique_ptr<Device>>& devices() { return devices_; }
 
     const std::vector<Voltage_source*>& voltage_sources() const
     {

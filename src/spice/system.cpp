@@ -9,82 +9,6 @@
 
 namespace mpsram::spice {
 
-// --- extension-device stampers -----------------------------------------------
-
-/// Pattern pass: records which (eq, wrt) matrix positions devices touch.
-class Mna_system::Pattern_stamper final : public Stamper {
-public:
-    Pattern_stamper(const std::vector<int>& solve_index,
-                    std::vector<std::pair<int, int>>& entries)
-        : solve_index_(&solve_index), entries_(&entries)
-    {
-    }
-
-    void jacobian(Node eq, Node wrt, double) override
-    {
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        const int col = (*solve_index_)[static_cast<std::size_t>(wrt)];
-        if (row >= 0 && col >= 0) entries_->push_back({row, col});
-    }
-
-    void rhs(Node, double) override {}
-
-private:
-    const std::vector<int>* solve_index_;
-    std::vector<std::pair<int, int>>* entries_;
-};
-
-/// Numeric pass: writes values into the matrix / RHS, routing known-voltage
-/// columns to the RHS.
-class Mna_system::Assembly_stamper final : public Stamper {
-public:
-    Assembly_stamper(const std::vector<int>& solve_index,
-                     Sparse_matrix& m, std::vector<double>& rhs,
-                     const std::vector<double>& voltages)
-        : solve_index_(&solve_index),
-          matrix_(&m),
-          rhs_(&rhs),
-          voltages_(&voltages)
-    {
-    }
-
-    void jacobian(Node eq, Node wrt, double g) override
-    {
-        // A NaN-poisoned stamp caught here names the exact (eq, wrt)
-        // entry; downstream it would surface as an unrelated
-        // Convergence_error (NaN never satisfies the pivot floor or the
-        // tolerance test) long after the cause.
-        MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp",
-                      MPSRAM_VAL(g), MPSRAM_VAL(eq), MPSRAM_VAL(wrt));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row < 0) return;  // ground or driven equation: dropped
-        const int col = (*solve_index_)[static_cast<std::size_t>(wrt)];
-        if (col >= 0) {
-            matrix_->add(row, col, g);
-        } else {
-            // Known voltage (ground contributes 0): move to the RHS.
-            (*rhs_)[static_cast<std::size_t>(row)] -=
-                g * (*voltages_)[static_cast<std::size_t>(wrt)];
-        }
-    }
-
-    void rhs(Node eq, double value) override
-    {
-        MPSRAM_ASSERT(std::isfinite(value), "non-finite RHS stamp",
-                      MPSRAM_VAL(value), MPSRAM_VAL(eq));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row >= 0) (*rhs_)[static_cast<std::size_t>(row)] += value;
-    }
-
-private:
-    const std::vector<int>* solve_index_;
-    Sparse_matrix* matrix_;
-    std::vector<double>* rhs_;
-    const std::vector<double>* voltages_;
-};
-
-// --- Mna_system ---------------------------------------------------------------
-
 namespace {
 
 /// Companion-model scale a(dt, method): the capacitor companion
@@ -174,12 +98,6 @@ void Mna_system::build_pattern()
             entries.push_back({index(eq), index(wrt)});
         }
     };
-    Pattern_stamper pattern(solve_index_, entries);
-    std::vector<double> zeros(circuit_->node_count(), 0.0);
-    Eval_context pattern_ctx;
-    pattern_ctx.mode = Analysis_mode::transient;
-    pattern_ctx.dt = 1.0;  // any positive value: pattern only
-    pattern_ctx.voltages = zeros.data();
     const auto two_terminal = [&](const Device& d) {
         const Node a = d.nodes()[0];
         const Node b = d.nodes()[1];
@@ -207,12 +125,8 @@ void Mna_system::build_pattern()
             for (const Node eq : {n[0], n[2]}) {
                 for (const Node wrt : n) structural(eq, wrt);
             }
-        } else if (dynamic_cast<const Voltage_source*>(d) == nullptr) {
-            // Voltage sources were classified structurally above; anything
-            // else is an extension device.
-            extension_devices_.push_back(d);
-            d->stamp(pattern, pattern_ctx);
         }
+        // Voltage sources were classified structurally above.
     }
 
     // Branch rows/columns for floating sources.
@@ -395,8 +309,7 @@ void Mna_system::prepare_solve(const Eval_context& ctx,
     }
 }
 
-void Mna_system::assemble(const Eval_context& ctx,
-                          const std::vector<double>& voltages,
+void Mna_system::assemble(const std::vector<double>& voltages,
                           double mosfet_vtol,
                           std::span<const Forced_node> forces)
 {
@@ -412,11 +325,6 @@ void Mna_system::assemble(const Eval_context& ctx,
         matrix_->add_at_slot(diag_slot_[static_cast<std::size_t>(row)],
                              f.conductance);
         rhs_[static_cast<std::size_t>(row)] += f.conductance * f.voltage;
-    }
-
-    if (!extension_devices_.empty()) {
-        Assembly_stamper stamper(solve_index_, *matrix_, rhs_, voltages);
-        for (const Device* dev : extension_devices_) dev->stamp(stamper, ctx);
     }
 }
 
@@ -485,7 +393,7 @@ void Mna_system::stamp_mosfets(const std::vector<double>& voltages,
     }
 }
 
-int Mna_system::solve(const Eval_context& ctx_in,
+int Mna_system::solve(const Eval_context& ctx,
                       std::vector<double>& voltages,
                       const Newton_options& opts,
                       std::span<const Forced_node> forces)
@@ -493,7 +401,6 @@ int Mna_system::solve(const Eval_context& ctx_in,
     util::expects(voltages.size() == circuit_->node_count(),
                   "voltage vector size mismatch");
 
-    Eval_context ctx = ctx_in;
     apply_driven(ctx.time, voltages);
     prepare_solve(ctx, voltages, opts);
 
@@ -515,8 +422,7 @@ int Mna_system::solve_direct(Eval_context ctx, std::vector<double>& voltages,
     const int max_iter = opts.max_iterations;
 
     for (int iter = 1; iter <= max_iter; ++iter) {
-        ctx.voltages = voltages.data();
-        assemble(ctx, voltages, 0.0, forces);
+        assemble(voltages, 0.0, forces);
 
         lu_->factor(*matrix_, opts.pivot_floor);
         ++counters_.lu_factorizations;
@@ -619,8 +525,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
     int stale_iters = 0;
 
     for (int iter = 1; iter <= max_iter; ++iter) {
-        ctx.voltages = voltages.data();
-        assemble(ctx, voltages, opts.device_bypass_vtol, forces);
+        assemble(voltages, opts.device_bypass_vtol, forces);
         ++counters_.newton_iterations;
 
         const bool refresh = !forces.empty() || confirm ||

@@ -7,9 +7,11 @@
 // matrix).  Floating voltage sources get a branch-current unknown appended
 // after the node unknowns, where elimination fill guarantees their pivots.
 //
-// Stamp program: the constructor compiles every device once against the
-// fixed CSR pattern, in the spirit of caper's split conductance (G) and
-// transient (C) matrices.
+// Stamp program: the device set is closed (spice/device.h), so the
+// constructor compiles every device of the five library classes once
+// against the fixed CSR pattern, in the spirit of caper's split
+// conductance (G) and transient (C) matrices; no device is stamped
+// through a virtual call.
 //   * Linear entries become slot-resolved arrays over the CSR values:
 //     G_lin (resistors, floating-source branch rows) and C_lin
 //     (capacitors); entries whose column is a driven node become RHS
@@ -20,8 +22,8 @@
 //     RHS gets the driven routes, capacitor history and source values in
 //     one pass.
 //   * Per Newton iteration, the matrix and RHS start as copies of the
-//     per-solve base; only MOSFETs (through precomputed slots) and any
-//     extension devices (through a Stamper) are stamped on top.
+//     per-solve base; only MOSFETs (through precomputed slots) and
+//     initial-condition forcing are stamped on top.
 //   * accept() latches the capacitor history in one pass over its arrays.
 // Both Newton solvers assemble from this one program.
 #ifndef MPSRAM_SPICE_SYSTEM_H
@@ -157,9 +159,6 @@ public:
     void reset_reuse_state();
 
 private:
-    class Assembly_stamper;
-    class Pattern_stamper;
-
     /// The four compiled entries of a two-terminal element or a branch
     /// row.  Each is an index into the linear value arrays (g_lin_,
     /// c_lin_): a CSR slot when the column is an unknown, nnz + k for
@@ -243,10 +242,10 @@ private:
     void prepare_solve(const Eval_context& ctx,
                        const std::vector<double>& voltages,
                        const Newton_options& opts);
-    /// Per-iteration assembly: base copy plus MOSFET, forcing and
-    /// extension-device stamps.  `mosfet_vtol` = 0 evaluates every MOSFET.
-    void assemble(const Eval_context& ctx, const std::vector<double>& voltages,
-                  double mosfet_vtol, std::span<const Forced_node> forces);
+    /// Per-iteration assembly: base copy plus MOSFET and forcing stamps.
+    /// `mosfet_vtol` = 0 evaluates every MOSFET.
+    void assemble(const std::vector<double>& voltages, double mosfet_vtol,
+                  std::span<const Forced_node> forces);
     void stamp_mosfets(const std::vector<double>& voltages, double vtol);
 
     int solve_direct(Eval_context ctx, std::vector<double>& voltages,
@@ -280,7 +279,6 @@ private:
     std::vector<Capacitor_history> history_;
     std::vector<Current_entry> current_sources_;
     std::vector<Mosfet_entry> mosfets_;
-    std::vector<const Device*> extension_devices_;
     std::vector<Route> routes_;
     std::vector<int> diag_slot_;
     std::vector<double> g_lin_;  ///< per CSR slot, then per route

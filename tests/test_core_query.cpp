@@ -1,7 +1,7 @@
-// The query layer (PR 5): every legacy Variability_study batch API must
-// be bitwise equal to its Query equivalent at 1/2/8 threads, the disturb
-// metric must run deterministically through the same generic run() path,
-// and Result_table's typed access must round-trip.
+// The query layer (PR 5): a single-case query equals its row of a batch,
+// the formula and disturb metrics run deterministically through the same
+// generic run() path at 1/2/8 threads, the session memos run each
+// transient once, and Result_table's typed access must round-trip.
 #include "core/query.h"
 
 #include <bit>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/session.h"
-#include "core/study.h"
 #include "util/contracts.h"
 
 namespace {
@@ -26,190 +25,47 @@ using core::Query_case;
 // Cheap-but-real sweep, same sizes as the read/write-sweep tests.
 constexpr int kSizes[] = {8, 16, 24};
 
-// The parity contract asks for bitwise equality at 1/2/8 threads.
+// The determinism contract asks for bitwise equality at 1/2/8 threads.
 constexpr int kThreadCounts[] = {1, 2, 8};
 
-// --- legacy wrapper parity ---------------------------------------------------
-// Each test runs the legacy method and the equivalent query on FRESH
-// objects per thread count (no memo crosstalk) and asserts bitwise
-// equality of every field.
+// --- single case vs batch ---------------------------------------------------
 
-TEST(QueryParity, WorstCaseRcMatchesLegacy)
+TEST(QueryWorstCaseRc, SingleCaseEqualsItsRowOfTheAllOptionsBatch)
 {
+    // Fresh sessions: the single-case row is enumerated on its own, not
+    // served from the batch's memo.
     for (const int threads : kThreadCounts) {
         const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy = study.worst_case_all_options(-1.0, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
+        const auto batch = core::Study_session().run(
             Query(Metric::worst_case_rc)
-                .over_options(tech::all_patterning_options)
+                .over_options(tech::all_patterning_options, 64)
                 .on(runner));
-        ASSERT_EQ(table.size(), legacy.size());
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Worst_case_row>(i), legacy[i])
-                << "threads=" << threads << " option=" << i;
-        }
+        ASSERT_EQ(batch.size(), tech::all_patterning_options.size());
 
-        // The single-option wrapper, same session (memo hit, same value).
-        const auto single =
-            study.worst_case(tech::all_patterning_options[0], -1.0, runner);
-        EXPECT_EQ(single, legacy[0]);
-    }
-}
-
-TEST(QueryParity, ReadSweepMatchesLegacy)
-{
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy =
-            study.read_sweep(tech::Patterning_option::sadp, kSizes, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::read_td)
-                .over_word_lines(tech::Patterning_option::sadp, kSizes)
+        const auto single = core::Study_session().run(
+            Query(Metric::worst_case_rc)
+                .with_case({tech::all_patterning_options[0], 64})
                 .on(runner));
-        ASSERT_EQ(table.size(), legacy.size());
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Read_row>(i), legacy[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-        }
-    }
-}
-
-TEST(QueryParity, NominalTdBatchMatchesLegacy)
-{
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy = study.nominal_td_batch(kSizes, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::nominal_td)
-                .over_word_lines(tech::Patterning_option::euv, kSizes)
-                .on(runner));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Nominal_td_row>(i), legacy[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-        }
-    }
-}
-
-TEST(QueryParity, WorstCaseTdpBatchMatchesLegacy)
-{
-    const std::vector<core::Variability_study::Tdp_case> cases = {
-        {tech::Patterning_option::euv, 8},
-        {tech::Patterning_option::sadp, 8},
-        {tech::Patterning_option::euv, 16},
-        {tech::Patterning_option::sadp, 16},
-    };
-
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy = study.worst_case_tdp_batch(cases, runner);
-
-        const core::Study_session session;
-        Query query(Metric::worst_case_tdp);
-        query.cases.assign(cases.begin(), cases.end());
-        const auto table = session.run(query.on(runner));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Tdp_row>(i), legacy[i])
-                << "threads=" << threads << " case=" << i;
-        }
-    }
-}
-
-TEST(QueryParity, McTdpBatchMatchesLegacy)
-{
-    const std::vector<core::Variability_study::Mc_case> cases = {
-        {tech::Patterning_option::le3, 16, 8e-9},
-        {tech::Patterning_option::euv, 16},
-    };
-    mc::Distribution_options mo;
-    mo.samples = 400;
-    mo.seed = 42;
-
-    for (const int threads : kThreadCounts) {
-        mc::Distribution_options threaded = mo;
-        threaded.runner.threads = threads;
-
-        const core::Variability_study study;
-        const auto legacy = study.mc_tdp_batch(cases, threaded);
-
-        const core::Study_session session;
-        Query query(Metric::mc_tdp);
-        query.cases.assign(cases.begin(), cases.end());
-        const auto table = session.run(query.with_mc(threaded));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<mc::Tdp_distribution>(i), legacy[i])
-                << "threads=" << threads << " case=" << i;
-        }
-    }
-}
-
-TEST(QueryParity, WriteSweepAndNominalTwMatchLegacy)
-{
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy_rows =
-            study.write_sweep(tech::Patterning_option::euv, kSizes, runner);
-        const auto legacy_tw = study.nominal_tw_batch(kSizes, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::write_tw)
-                .over_word_lines(tech::Patterning_option::euv, kSizes)
-                .on(runner));
-        const auto tw_table = session.run(
-            Query(Metric::nominal_tw)
-                .over_word_lines(tech::Patterning_option::euv, kSizes)
-                .on(runner));
-        for (std::size_t i = 0; i < legacy_rows.size(); ++i) {
-            EXPECT_EQ(table.as<core::Write_row>(i), legacy_rows[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(tw_table.as<core::Nominal_tw_row>(i).tw_simulation,
-                      legacy_tw[i]);
-            // The registered write formula underestimates SPICE like the
-            // td formula does, but is a real time.
-            EXPECT_GT(tw_table.as<core::Nominal_tw_row>(i).tw_formula, 0.0);
-            EXPECT_LT(tw_table.as<core::Nominal_tw_row>(i).tw_formula,
-                      legacy_tw[i]);
-        }
-    }
-}
-
-TEST(QueryParity, McTwpMatchesLegacySpiceEngine)
-{
-    // Every sample is a SPICE transient: keep the counts small.
-    mc::Distribution_options mo;
-    mo.samples = 16;
-    mo.seed = 7;
-    const Query_case qc{tech::Patterning_option::le3, 8};
-
-    for (const int threads : kThreadCounts) {
-        mc::Distribution_options threaded = mo;
-        threaded.runner.threads = threads;
-
-        const core::Variability_study study;
-        const auto legacy =
-            study.mc_twp(qc.option, qc.word_lines, threaded);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::mc_twp).with_case(qc).with_mc(threaded));
-        EXPECT_EQ(table.as<mc::Tdp_distribution>(0), legacy)
+        EXPECT_EQ(single.as<core::Worst_case_row>(0),
+                  batch.as<core::Worst_case_row>(0))
             << "threads=" << threads;
+    }
+}
+
+// --- the nominal tw formula --------------------------------------------------
+
+TEST(QueryNominalTw, FormulaIsARealTimeBelowTheSimulation)
+{
+    // The registered write formula underestimates SPICE like the td
+    // formula does, but is a real time.
+    const auto table = core::Study_session().run(
+        Query(Metric::nominal_tw)
+            .over_word_lines(tech::Patterning_option::euv, kSizes));
+    ASSERT_EQ(table.size(), std::size(kSizes));
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const auto& row = table.as<core::Nominal_tw_row>(i);
+        EXPECT_GT(row.tw_formula, 0.0) << "size=" << kSizes[i];
+        EXPECT_LT(row.tw_formula, row.tw_simulation) << "size=" << kSizes[i];
     }
 }
 

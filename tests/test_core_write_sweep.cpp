@@ -1,16 +1,16 @@
 // The column-simulation write layer (PR 4): thread determinism of the
-// write batch APIs, Write_sim_context reuse, the shared worst-case memo
+// write batch queries, Write_sim_context reuse, the shared worst-case memo
 // under concurrent write callers, and the metric-functor generalization of
 // the mc:: code against the original read paths.
-#include "core/study.h"
-
 #include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
 
 #include "analytic/params.h"
+#include "core/query.h"
 #include "core/runner.h"
+#include "core/session.h"
 #include "mc/distribution.h"
 #include "mc/worst_case.h"
 #include "pattern/engine.h"
@@ -21,6 +21,8 @@
 namespace {
 
 using namespace mpsram;
+using core::Metric;
+using core::Query;
 
 // Cheap-but-real sweep, same sizes as the read-sweep tests.
 constexpr int kSizes[] = {8, 16, 24};
@@ -46,68 +48,66 @@ struct Sim_fixture {
 
 TEST(WriteSweep, IdenticalAtAnyThreadCount)
 {
-    // Fresh study per thread count: no memo crosstalk between runs.
-    const core::Variability_study serial_study;
-    const auto serial = serial_study.write_sweep(
-        tech::Patterning_option::sadp, kSizes, core::Runner_options{1});
+    // Fresh session per thread count: no memo crosstalk between runs.
+    const Query sweep = Query(Metric::write_tw)
+                            .over_word_lines(tech::Patterning_option::sadp,
+                                             kSizes);
+    const auto serial =
+        core::Study_session().run(Query(sweep).on(core::Runner_options{1}));
     ASSERT_EQ(serial.size(), std::size(kSizes));
 
     for (const int threads : kThreadCounts) {
-        const core::Variability_study study;
-        const auto parallel = study.write_sweep(
-            tech::Patterning_option::sadp, kSizes,
-            core::Runner_options{threads});
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].tw_nominal, parallel[i].tw_nominal)
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(serial[i].tw_varied, parallel[i].tw_varied);
-            EXPECT_EQ(serial[i].twp_percent, parallel[i].twp_percent);
-        }
+        const auto parallel = core::Study_session().run(
+            Query(sweep).on(core::Runner_options{threads}));
+        EXPECT_EQ(parallel, serial) << "threads=" << threads;
     }
 }
 
 TEST(WriteSweep, MatchesSingleCalls)
 {
-    const core::Variability_study batch_study;
-    const auto rows = batch_study.write_sweep(tech::Patterning_option::euv,
-                                              kSizes,
-                                              core::Runner_options{8});
+    const auto rows = core::Study_session().run(
+        Query(Metric::write_tw)
+            .over_word_lines(tech::Patterning_option::euv, kSizes)
+            .on(core::Runner_options{8}));
 
-    const core::Variability_study single_study;
+    const core::Study_session single_session;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto single = single_study.worst_case_tw(
-            tech::Patterning_option::euv, kSizes[i]);
-        EXPECT_EQ(rows[i].tw_nominal, single.tw_nominal);
-        EXPECT_EQ(rows[i].tw_varied, single.tw_varied);
-        EXPECT_EQ(rows[i].twp_percent, single.twp_percent);
-        EXPECT_GT(rows[i].tw_nominal, 0.0);
+        const auto single = single_session.run(
+            Query(Metric::write_tw)
+                .with_case({tech::Patterning_option::euv, kSizes[i]}));
+        const auto& row = rows.as<core::Write_row>(i);
+        EXPECT_EQ(row, single.as<core::Write_row>(0)) << "size=" << kSizes[i];
+        EXPECT_GT(row.tw_nominal, 0.0);
     }
 }
 
 TEST(NominalTwBatch, IdenticalAtAnyThreadCountAndMatchesSingles)
 {
-    const core::Variability_study serial_study;
+    const Query batch =
+        Query(Metric::nominal_tw)
+            .over_word_lines(tech::Patterning_option::euv, kSizes);
     const auto serial =
-        serial_study.nominal_tw_batch(kSizes, core::Runner_options{1});
+        core::Study_session().run(Query(batch).on(core::Runner_options{1}));
     ASSERT_EQ(serial.size(), std::size(kSizes));
 
     for (const int threads : kThreadCounts) {
-        const core::Variability_study study;
-        const auto parallel =
-            study.nominal_tw_batch(kSizes, core::Runner_options{threads});
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i], parallel[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-        }
+        const auto parallel = core::Study_session().run(
+            Query(batch).on(core::Runner_options{threads}));
+        EXPECT_EQ(parallel, serial) << "threads=" << threads;
     }
 
-    const core::Variability_study single_study;
+    const core::Study_session single_session;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i], single_study.nominal_tw(kSizes[i]));
+        const auto single = single_session.run(
+            Query(Metric::nominal_tw)
+                .with_case({tech::Patterning_option::euv, kSizes[i]}));
+        EXPECT_EQ(serial.as<core::Nominal_tw_row>(i),
+                  single.as<core::Nominal_tw_row>(0))
+            << "size=" << kSizes[i];
     }
     // tw grows with the array (the driver discharges a longer ladder).
-    EXPECT_GT(serial[2], serial[0]);
+    EXPECT_GT(serial.as<core::Nominal_tw_row>(2).tw_simulation,
+              serial.as<core::Nominal_tw_row>(0).tw_simulation);
 }
 
 void expect_bitwise_equal(const mc::Tdp_distribution& a,
@@ -127,37 +127,40 @@ TEST(McTwpBatch, IdenticalAtAnyThreadCountAndMatchesSingles)
     mo.samples = 24;
     mo.seed = 7;
 
-    const std::vector<core::Variability_study::Mc_case> cases = {
-        {tech::Patterning_option::le3, 8, -1.0},
-        {tech::Patterning_option::euv, 8, -1.0},
-    };
+    const Query batch =
+        Query(Metric::mc_twp)
+            .with_case({tech::Patterning_option::le3, 8, -1.0})
+            .with_case({tech::Patterning_option::euv, 8, -1.0});
 
     mc::Distribution_options serial_mo = mo;
     serial_mo.runner.threads = 1;
-    const core::Variability_study serial_study;
-    const auto serial = serial_study.mc_twp_batch(cases, serial_mo);
-    ASSERT_EQ(serial.size(), cases.size());
+    const auto serial =
+        core::Study_session().run(Query(batch).with_mc(serial_mo));
+    ASSERT_EQ(serial.size(), batch.cases.size());
 
     for (const int threads : kThreadCounts) {
         mc::Distribution_options par_mo = mo;
         par_mo.runner.threads = threads;
-        const core::Variability_study study;
-        const auto parallel = study.mc_twp_batch(cases, par_mo);
-        for (std::size_t i = 0; i < cases.size(); ++i) {
-            expect_bitwise_equal(serial[i], parallel[i]);
+        const auto parallel =
+            core::Study_session().run(Query(batch).with_mc(par_mo));
+        for (std::size_t i = 0; i < batch.cases.size(); ++i) {
+            expect_bitwise_equal(serial.as<mc::Tdp_distribution>(i),
+                                 parallel.as<mc::Tdp_distribution>(i));
         }
     }
 
-    const core::Variability_study single_study;
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        const auto single =
-            single_study.mc_twp(cases[i].option, cases[i].word_lines,
-                                serial_mo, cases[i].ol_3sigma);
-        expect_bitwise_equal(serial[i], single);
+    const core::Study_session single_session;
+    for (std::size_t i = 0; i < batch.cases.size(); ++i) {
+        const auto single = single_session.run(
+            Query(Metric::mc_twp).with_case(batch.cases[i]).with_mc(
+                serial_mo));
+        expect_bitwise_equal(serial.as<mc::Tdp_distribution>(i),
+                             single.as<mc::Tdp_distribution>(0));
     }
 
     // The distribution is real: LE3 spreads twp wider than EUV.
-    EXPECT_GT(serial[0].summary.stddev, serial[1].summary.stddev);
+    EXPECT_GT(serial.as<mc::Tdp_distribution>(0).summary.stddev,
+              serial.as<mc::Tdp_distribution>(1).summary.stddev);
 }
 
 TEST(WriteSimContext, ReuseMatchesFreshBuilds)
@@ -208,35 +211,35 @@ TEST(WriteSimContext, ReuseMatchesFreshBuilds)
 
 TEST(WorstCaseMemo, SingleEnumerationUnderConcurrentTwCallers)
 {
-    const core::Variability_study study;
-    EXPECT_EQ(study.corner_search_count(), 0u);
+    const core::Study_session session;
+    EXPECT_EQ(session.corner_search_count(), 0u);
 
-    // Eight concurrent worst_case_tw callers of one (option, n) key: the
+    // Eight concurrent write_tw callers of one (option, n) key: the
     // promise-backed memo runs exactly one corner enumeration.
+    const core::Query_case sadp8{tech::Patterning_option::sadp, 8};
     constexpr std::size_t jobs = 8;
-    std::vector<core::Variability_study::Write_row> results(jobs);
+    std::vector<core::Write_row> results(jobs);
     core::run_indexed(
         jobs,
         [&](std::size_t i, const core::Run_context&) {
-            results[i] =
-                study.worst_case_tw(tech::Patterning_option::sadp, 8);
+            results[i] = session.run(Query(Metric::write_tw).with_case(sadp8))
+                             .as<core::Write_row>(0);
         },
         core::Runner_options{8});
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    EXPECT_EQ(session.corner_search_count(), 1u);
     for (std::size_t i = 1; i < jobs; ++i) {
-        EXPECT_EQ(results[i].tw_nominal, results[0].tw_nominal);
-        EXPECT_EQ(results[i].tw_varied, results[0].tw_varied);
-        EXPECT_EQ(results[i].twp_percent, results[0].twp_percent);
+        EXPECT_EQ(results[i], results[0]);
     }
 
     // The read paths share the same key: no second enumeration.
-    study.worst_case_tdp(tech::Patterning_option::sadp, 8);
-    study.worst_case_read(tech::Patterning_option::sadp, 8);
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    session.run(Query(Metric::worst_case_tdp).with_case(sadp8));
+    session.run(Query(Metric::read_td).with_case(sadp8));
+    EXPECT_EQ(session.corner_search_count(), 1u);
 
     // A new word-line count is a new key for the write path, too.
-    study.worst_case_tw(tech::Patterning_option::sadp, 16);
-    EXPECT_EQ(study.corner_search_count(), 2u);
+    session.run(Query(Metric::write_tw)
+                    .with_case({tech::Patterning_option::sadp, 16}));
+    EXPECT_EQ(session.corner_search_count(), 2u);
 }
 
 // --- metric-functor regressions on the original read paths -------------------
@@ -355,13 +358,18 @@ TEST(WriteAccuracy, AdaptiveMatchesReferenceAcrossWriteSweep)
     // patterning option.  (bench_ext_write_impact enforces the same gate
     // on the full n up to 256 sweep on every run.)
     for (const auto option : tech::all_patterning_options) {
-        const core::Variability_study reference(
-            tech::n10(), opts_with(sram::Sim_accuracy::reference));
-        const core::Variability_study fast(
-            tech::n10(), opts_with(sram::Sim_accuracy::fast));
-
-        const auto ref_rows = reference.write_sweep(option, kSizes);
-        const auto fast_rows = fast.write_sweep(option, kSizes);
+        const Query sweep =
+            Query(Metric::write_tw).over_word_lines(option, kSizes);
+        const auto ref_rows =
+            core::Study_session(tech::n10(),
+                                opts_with(sram::Sim_accuracy::reference))
+                .run(sweep)
+                .column<core::Write_row>();
+        const auto fast_rows =
+            core::Study_session(tech::n10(),
+                                opts_with(sram::Sim_accuracy::fast))
+                .run(sweep)
+                .column<core::Write_row>();
         ASSERT_EQ(ref_rows.size(), fast_rows.size());
 
         for (std::size_t i = 0; i < ref_rows.size(); ++i) {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -132,44 +131,37 @@ TEST(Check, IndexFormReportsBothSides)
 
 #endif // MPSRAM_CHECKED
 
-/// Test-only device stamping a NaN conductance.  The library devices
-/// validate their parameters at construction, so the only way a NaN can
-/// reach the MNA assembly is a buggy model — which this class simulates.
-class Nan_device : public spice::Device {
-public:
-    Nan_device(std::string name, spice::Node a, spice::Node b)
-        : Device(std::move(name), {a, b}), a_(a), b_(b)
-    {
-    }
-
-    void stamp(spice::Stamper& s, const spice::Eval_context&) const override
-    {
-        s.conductance(a_, b_, quiet_nan);
-    }
-
-private:
-    spice::Node a_;
-    spice::Node b_;
-};
-
 TEST(Check, CheckedBuildRejectsNanStampedDevice)
 {
 #ifndef MPSRAM_CHECKED
     GTEST_SKIP() << "contract layer compiled out in this build";
 #else
+    // Resistors and capacitors reject a NaN value at construction, but the
+    // MOSFET does not validate its threshold, so a NaN vth reaches the
+    // compact model and poisons every linearization the engine stamps.
     spice::Circuit c;
-    const spice::Node n1 = c.node("n1");
-    c.add_voltage_source("V1", n1, spice::ground_node,
-                         spice::Waveform::dc(1.0));
-    const spice::Node n2 = c.node("n2");
-    c.add_resistor("R1", n1, n2, 1000.0);
-    c.devices().push_back(
-        std::make_unique<Nan_device>("XNAN", n2, spice::ground_node));
+    const spice::Node vdd = c.node("vdd");
+    c.add_voltage_source("VDD", vdd, spice::ground_node,
+                         spice::Waveform::dc(0.7));
+    const spice::Node out = c.node("out");
+    c.add_resistor("RL", vdd, out, 10e3);
+    spice::Mosfet_params params;
+    params.vth = quiet_nan;
+    c.add_mosfet("MN", out, vdd, spice::ground_node, params);
 
-    // Without the stamp guard the NaN sails through assembly, defeats the
-    // pivot-floor test (fabs(NaN) < floor is false), and Newton "converges"
-    // because fabs(NaN delta) > tol is also false — a silent wrong answer.
-    EXPECT_THROW(spice::dc_operating_point(c), util::Contract_error);
+    // Without the linearization guard the NaN sails through assembly,
+    // defeats the pivot-floor test (fabs(NaN) < floor is false), and
+    // Newton "converges" because fabs(NaN delta) > tol is also false — a
+    // silent wrong answer.
+    try {
+        spice::dc_operating_point(c);
+        FAIL() << "a NaN linearization must not converge";
+    } catch (const util::Contract_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("non-finite MOSFET linearization"),
+                  std::string::npos)
+            << what;
+    }
 #endif
 }
 
